@@ -76,9 +76,14 @@ def dilation_core(S: SubsetS) -> SubsetS:
         return S
     core = None
     for a in range(G.exponent):
-        dilated = frozenset(G.scale(a, e) for e in S.elements)
-        if dilated <= S.elements:
-            core = dilated if core is None else core & dilated
+        dilated = []
+        for e in S.elements:
+            x = G.scale(a, e)
+            if x not in S.elements:
+                break  # aS is not inside S
+            dilated.append(x)
+        else:
+            core = frozenset(dilated) if core is None else core.intersection(dilated)
     assert core is not None  # a = 1 always qualifies
     return SubsetS(G, core)
 

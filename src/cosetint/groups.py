@@ -1,9 +1,15 @@
 """Finite abelian groups as tuples of cyclic moduli, plus exact integer linear algebra.
 
 A group is a product Z/d_1 x ... x Z/d_k; an element is a tuple of ints with
-coordinate i reduced mod d_i.  Every structural computation here (membership,
-kernels, quotients, intersections, abstract presentations) routes through one
-Smith normal form routine so determinism lives in a single place.
+coordinate i reduced mod d_i.  Three elimination routines do the linear
+algebra, each deterministic:
+
+- `solve_linear_congruence` (membership, preimages, lifts): row elimination
+  mod each prime power of the lcm of the moduli, combined by CRT;
+- `_diagonalize_mod` (kernels, hence intersections and relations): a
+  diagonalization mod the exponent that keeps the column transform;
+- `smith_normal_form` (quotients and abstract presentations): exact integer
+  Smith normal form, for the invariant factors.
 
 Moduli equal to 1 are tolerated internally (they describe trivial coordinates);
 the serialization layer is stricter and only accepts factors >= 2.
@@ -201,30 +207,24 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
     return U, A, V
 
 
-def _balanced(v: int, M: int) -> int:
-    r = v % M
-    return r - M if r > M // 2 else r
-
-
 def _diagonalize_mod(mat: Sequence[Sequence[int]], M: int):
-    """Diagonalize working mod M: returns (U, D, V) with U*mat*V == D (mod M).
+    """Diagonalize working mod M: returns (D, V) with U*mat*V == D (mod M)
+    for some unimodular U that is not built.
 
-    Valid for systems whose column lattice contains M * Z^rows (true for every
-    moduli-augmented matrix, since M is a multiple of each modulus).  All
-    entries stay balanced-reduced mod M, so intermediate values never grow;
-    this is what keeps high-dimensional membership computations inside 64-bit
-    range.  No divisibility chain is enforced; callers use the diagonal only.
+    Used by `kernel_of_hom`, which reads kernel directions off the columns of
+    V.  Valid for systems whose column lattice contains M * Z^rows (true for
+    every moduli-augmented matrix, since M is a multiple of each modulus).
+    All entries stay balanced-reduced mod M, so intermediate values never
+    grow.  No divisibility chain is enforced; callers use the diagonal only.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     half = M // 2
     A = [[v - M if (v := int(x) % M) > half else v for x in row] for row in mat]
-    U = _identity(m)
     VT = _identity(n)  # V stored as columns; balanced reductions are inlined for speed
 
     def row_add(dst, src, c):
         A[dst] = [v - M if (v := (a + c * b) % M) > half else v for a, b in zip(A[dst], A[src])]
-        U[dst] = [v - M if (v := (a + c * b) % M) > half else v for a, b in zip(U[dst], U[src])]
 
     def col_add(dst, src, c):
         for row in A:
@@ -245,21 +245,18 @@ def _diagonalize_mod(mat: Sequence[Sequence[int]], M: int):
         _, pi, pj = best
         if pi != k:
             A[k], A[pi] = A[pi], A[k]
-            U[k], U[pi] = U[pi], U[k]
         if pj != k:
             for row in A:
                 row[k], row[pj] = row[pj], row[k]
             VT[k], VT[pj] = VT[pj], VT[k]
         if A[k][k] < 0:
             A[k] = [-a for a in A[k]]
-            U[k] = [-a for a in U[k]]
         while True:
             for i in range(k + 1, m):
                 while A[i][k]:
                     row_add(i, k, -(A[i][k] // A[k][k]))
                     if A[i][k]:
                         A[i], A[k] = A[k], A[i]
-                        U[i], U[k] = U[k], U[i]
             for j in range(k + 1, n):
                 while A[k][j]:
                     col_add(j, k, -(A[k][j] // A[k][k]))
@@ -270,7 +267,146 @@ def _diagonalize_mod(mat: Sequence[Sequence[int]], M: int):
             if not any(A[i][k] for i in range(k + 1, m)):
                 break
     V = [[VT[j][i] for j in range(n)] for i in range(n)]
-    return U, A, V
+    return A, V
+
+
+# Trial division up to this bound factors every modulus up to its square,
+# which covers the parse bound MAX_ORDER = 2**20 with at most 1024 divisions.
+_TRIAL_DIVISION_LIMIT = 2**10
+
+
+def _prime_power_pieces(M: int) -> List[Tuple[int, int]]:
+    """Coprime pieces (d, e) with M == prod(d**e).
+
+    Every prime up to _TRIAL_DIVISION_LIMIT is found by trial division; a
+    cofactor left over (no prime factor at or below the limit) is returned
+    as one piece (cofactor, 1), to be split only if elimination finds a
+    zero divisor in it.
+    """
+    pieces = []
+    p = 2
+    while p <= _TRIAL_DIVISION_LIMIT and p * p <= M:
+        if M % p == 0:
+            e = 0
+            while M % p == 0:
+                M //= p
+                e += 1
+            pieces.append((p, e))
+        p += 1
+    if M > 1:
+        pieces.append((M, 1))
+    return pieces
+
+
+def _coprime_base(nums: Sequence[int]) -> List[int]:
+    """Pairwise coprime integers > 1 such that each of nums is a product of
+    their powers."""
+    base: List[int] = []
+    todo = [x for x in nums if x > 1]
+    while todo:
+        x = todo.pop()
+        for i, y in enumerate(base):
+            g = math.gcd(x, y)
+            if g > 1:
+                del base[i]
+                todo += [v for v in (g, x // g, y // g) if v > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _split_piece(d: int, e: int, g: int) -> List[Tuple[int, int]]:
+    """Refine the piece d**e given a proper divisor g of d.
+
+    Returns coprime pieces whose bases are all smaller than d: either d
+    splits into coprime parts, or d is a power of a smaller base.
+    """
+    pieces = []
+    for c in _coprime_base([g, d // g]):
+        k, r = 0, d
+        while r % c == 0:
+            r //= c
+            k += 1
+        pieces.append((c, k * e))
+    return pieces
+
+
+class _ZeroDivisor(Exception):
+    """A pivot's unit part shares the factor `g` with the piece's base."""
+
+    def __init__(self, g: int):
+        super().__init__(g)
+        self.g = g
+
+
+def _solve_prime_power(mat, rhs, moduli, d: int, e: int) -> Optional[List[int]]:
+    """One solution of the moduli-augmented system mod q = d**e, or None.
+
+    Row elimination in which every pivot is d**w times a unit, where w is
+    the least d-valuation left in the remaining block, so the pivot divides
+    its whole row and column.  Rows are swapped and combined in place; the
+    pivot column is only recorded, so no column is ever moved and no
+    transform matrix is built.  Back-substitution sets free variables to 0.
+    For a prime d every pivot is of that form; for a composite d a pivot
+    whose unit part is not invertible raises _ZeroDivisor with a factor of d.
+    """
+    q = d**e
+    m = len(rhs)
+    n = len(mat[0]) if m else 0
+    # a row's modulus enters as one slack column, unless it vanishes mod q
+    slack = [i for i in range(m) if moduli[i] % q]
+    rows = [
+        [v % q for v in mat[i]] + [moduli[i] % q if s == i else 0 for s in slack]
+        for i in range(m)
+    ]
+    b = [v % q for v in rhs]
+    pivots = []  # (column, d**w, inverse of the unit part mod q)
+    w, dw = 0, 1  # the least valuation never decreases from one step to the next
+    r = 0
+    while r < m:
+        hit = None
+        while w < e:
+            dw1 = dw * d
+            hit = next(
+                ((i, j) for i in range(r, m) for j, x in enumerate(rows[i]) if x % dw1),
+                None,
+            )
+            if hit is not None:
+                break
+            w, dw = w + 1, dw1
+        if hit is None:
+            break
+        i, j = hit
+        rows[r], rows[i] = rows[i], rows[r]
+        b[r], b[i] = b[i], b[r]
+        prow, pb = rows[r], b[r]
+        if pb % dw:
+            return None  # every coefficient of this row is a multiple of d**w
+        u = prow[j] // dw
+        g = math.gcd(u, d)
+        if g > 1:
+            raise _ZeroDivisor(g)
+        uinv = pow(u, -1, q)
+        nz = [(jj, c) for jj, c in enumerate(prow) if c]
+        for k in range(r + 1, m):
+            row = rows[k]
+            x = row[j]
+            if x:
+                f = x // dw * uinv % q
+                for jj, c in nz:
+                    row[jj] = (row[jj] - f * c) % q
+                b[k] = (b[k] - f * pb) % q
+        pivots.append((j, dw, uinv))
+        r += 1
+    if any(b[r:]):
+        return None  # a zero row with a nonzero right-hand side
+    z = [0] * (n + len(slack))
+    for r in reversed(range(len(pivots))):
+        j, dw, uinv = pivots[r]
+        s = (b[r] - sum(a * c for a, c in zip(rows[r], z))) % q
+        z[j] = s // dw * uinv % (q // dw)
+    return z[:n]
 
 
 def solve_linear_congruence(
@@ -280,11 +416,16 @@ def solve_linear_congruence(
 ) -> Optional[List[int]]:
     """Solve mat @ x == rhs where row i is a congruence mod moduli[i].
 
-    Returns one integer solution with entries reduced mod lcm(moduli), or None
-    when the system is infeasible.  An empty matrix means no constraints and
-    yields the empty solution.  Implemented by augmenting the matrix with the
-    diagonal of the moduli and diagonalizing; arithmetic is carried out mod
-    lcm(moduli), which is exact for such moduli-periodic systems.
+    Returns one integer solution with entries reduced mod M = lcm(moduli),
+    or None when the system is infeasible.  An empty matrix means no
+    constraints and yields the empty solution.
+
+    The system is augmented with the diagonal of the moduli and solved
+    separately mod each prime power p**k of M, by row elimination that
+    pivots on least p-valuation (see `_solve_prime_power`); the parts are
+    combined by the Chinese remainder theorem.  Any modulus works: primes
+    up to _TRIAL_DIVISION_LIMIT come from trial division, and a larger
+    cofactor is split by gcd only when elimination meets a zero divisor.
     """
     m = len(moduli)
     if len(mat) != m or len(rhs) != m:
@@ -293,23 +434,21 @@ def solve_linear_congruence(
         raise ValueError("moduli must be positive")
     n = len(mat[0]) if mat else 0
     M = math.lcm(*moduli)
-    aug = [
-        list(mat[i]) + [moduli[i] if j == i else 0 for j in range(m)]
-        for i in range(m)
-    ]
-    U, D, V = _diagonalize_mod(aug, M)
-    b = [v % M for v in rhs]
-    c = [sum(U[i][j] * b[j] for j in range(m)) % M for i in range(m)]
-    w = [0] * (n + m)
-    for i in range(m):
-        d = D[i][i] % M
-        g = math.gcd(d, M)
-        if c[i] % g:
+    x = [0] * n
+    pieces = _prime_power_pieces(M)
+    while pieces:
+        d, e = pieces.pop()
+        try:
+            part = _solve_prime_power(mat, rhs, moduli, d, e)
+        except _ZeroDivisor as exc:
+            pieces += _split_piece(d, e, exc.g)
+            continue
+        if part is None:
             return None
-        if M // g > 1:
-            s = pow((d // g) % (M // g), -1, M // g)
-            w[i] = (c[i] // g) * s % (M // g)
-    return [sum(V[i][j] * w[j] for j in range(n + m)) % M for i in range(n)]
+        q = d**e
+        c = M // q * pow(M // q, -1, q)  # 1 mod q, 0 mod M/q
+        x = [(xi + c * v) % M for xi, v in zip(x, part)]
+    return x
 
 
 @dataclass(frozen=True)
@@ -406,7 +545,7 @@ def kernel_of_hom(hom: Homomorphism) -> SubgroupGens:
         list(hom.matrix[i]) + [T.moduli[i] if j == i else 0 for j in range(mt)]
         for i in range(mt)
     ]
-    U, D, V = _diagonalize_mod(aug, M)
+    D, V = _diagonalize_mod(aug, M)
     gens = []
     for j in range(n + mt):
         # column j of V spans kernel directions once scaled by the annihilator

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .groups import FiniteAbelianGroup, SubgroupGens, subgroup_membership
+from .groups import (
+    FiniteAbelianGroup,
+    SubgroupGens,
+    subgroup_membership,
+    subgroup_reduce_gens,
+)
 from .classify import dilation_core, is_coset
 from .model import ProblemInstance, SolveResult, SubsetS
 
@@ -50,6 +55,9 @@ def solve_affine_coset(inst: ProblemInstance, S: SubsetS) -> SolveResult:
         return SolveResult("yes", nzero)
     Gt = G.power(t)
     target = Gt.sub(_flatten([base] * t), _flatten(inst.xstar))
+    # is_coset lists every element of the subgroup as a generator; each kept
+    # generator at least doubles the span, so at most log2|G'| per slot remain
+    sub = subgroup_reduce_gens(sub)
     gens = [_flatten(g) for g in inst.hgens] + _position_gens(G, t, sub.gens)
     coeffs = subgroup_membership(SubgroupGens(Gt, tuple(gens)), target)
     if coeffs is None:

@@ -87,6 +87,23 @@ class TestDilationCore:
                 assert core.elements <= S.elements
                 assert dilation_core(core).elements == core.elements
 
+    def test_matches_definition(self):
+        # reference: build every dilate in full, keep those inside S, intersect
+        def reference(S):
+            G = S.group
+            core = None
+            for a in range(G.exponent):
+                dilated = frozenset(G.scale(a, e) for e in S.elements)
+                if dilated <= S.elements:
+                    core = dilated if core is None else core & dilated
+            return core
+
+        groups = small_groups(8) + [FiniteAbelianGroup((12,)), FiniteAbelianGroup((2, 6))]
+        for G in groups:
+            for S in all_subsets(G):
+                if S.elements:
+                    assert dilation_core(S).elements == reference(S), (G, S)
+
     def test_prime_power_law(self):
         for moduli in ((2,), (3,), (4,), (5,), (7,), (8,), (9,), (2, 2)):
             G = FiniteAbelianGroup(moduli)

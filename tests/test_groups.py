@@ -152,6 +152,113 @@ class TestSolveLinearCongruence:
                 )
 
 
+    @staticmethod
+    def satisfies(A, b, moduli, x):
+        return all(
+            (sum(a * v for a, v in zip(row, x)) - bi) % d == 0
+            for row, bi, d in zip(A, b, moduli)
+        )
+
+    @pytest.mark.parametrize(
+        "choices", [(8,), (9,), (25,), (1, 5), (4, 6, 9), (8, 12), (2, 3, 5, 7)]
+    )
+    def test_moduli_sets_against_span_closure(self, choices):
+        # row moduli are drawn from `choices`; b is feasible exactly when it
+        # lies in the span of the columns inside Z/d_1 x ... x Z/d_m, which
+        # the closure enumerates
+        rng = random.Random(sum(choices))
+        for m in range(1, 4):
+            for n in range(4):
+                for _ in range(25):
+                    moduli = [rng.choice(choices) for _ in range(m)]
+                    G = FiniteAbelianGroup(moduli)
+                    A = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
+                    cols = [G.reduce([A[i][j] for i in range(m)]) for j in range(n)]
+                    span = span_bruteforce(G, cols)
+                    if rng.random() < 0.5:
+                        b = list(rng.choice(sorted(span)))
+                    else:
+                        b = [rng.randint(-30, 30) for _ in range(m)]
+                    got = solve_linear_congruence(A, b, moduli)
+                    if G.reduce(b) in span:
+                        assert got is not None and len(got) == n
+                        assert all(0 <= v < math.lcm(*moduli) for v in got)
+                        assert self.satisfies(A, b, moduli, got)
+                    else:
+                        assert got is None
+
+    @staticmethod
+    def planted(rng, m, n, moduli, feasible, entry=None):
+        """A system with a known solution, or with b moved off the column span.
+
+        Row k has modulus M = lcm(moduli), so chi(v) = sum c_i*(M/d_i)*v_i - v_k
+        is a character of Z/d_1 x ... x Z/d_m.  Row k of A is set so that chi
+        vanishes on every column; b = A z, plus e_k when infeasible, which
+        chi maps to -1.
+        """
+        M = math.lcm(*moduli)
+        k = moduli.index(M)
+        entry = entry or (lambda: rng.randrange(M))
+        A = [[entry() for _ in range(n)] for _ in range(m)]
+        c = [rng.randrange(M) for _ in range(m)]
+        for j in range(n):
+            A[k][j] = sum(c[i] * (M // moduli[i]) * A[i][j] for i in range(m) if i != k) % M
+        z = [rng.randrange(M) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, z)) % d for row, d in zip(A, moduli)]
+        if not feasible:
+            b[k] = (b[k] + 1) % M
+        return A, b
+
+    @pytest.mark.parametrize(
+        "m, n, moduli",
+        [
+            (64, 128, (256,)),
+            (24, 48, (12, 60)),
+            (32, 48, (4096,)),
+            (12, 16, ((2**31 - 1) * (2**61 - 1),)),
+        ],
+    )
+    def test_planted(self, m, n, moduli):
+        rng = random.Random(m * n)
+        moduli = [moduli[i % len(moduli)] for i in range(m)]
+        for feasible in (True, False):
+            A, b = self.planted(rng, m, n, moduli, feasible)
+            got = solve_linear_congruence(A, b, moduli)
+            if feasible:
+                assert got is not None and self.satisfies(A, b, moduli, got)
+            else:
+                assert got is None
+
+    @pytest.mark.parametrize(
+        "modulus",
+        [
+            (2**31 - 1) * (2**61 - 1),  # splits into two primes
+            1031**2,  # a prime square above the trial-division limit
+            1031**3 * 1033**2 * 1039,  # both kinds of split
+        ],
+    )
+    def test_zero_divisors_above_trial_division(self, modulus):
+        # entries built from the large prime factors make some pivots zero
+        # divisors, which is when the cofactor gets split
+        rng = random.Random(modulus % 1000)
+        factors = [f for f in (1031, 1033, 1039, 2**31 - 1, 2**61 - 1) if modulus % f == 0]
+        parts = [1] + factors + [f * f for f in factors]
+
+        def entry():
+            return rng.choice(parts) * rng.randrange(1, 50) % modulus
+
+        for m, n in ((1, 1), (3, 2), (6, 8)):
+            moduli = [modulus] * m
+            for feasible in (True, False):
+                for _ in range(10):
+                    A, b = self.planted(rng, m, n, moduli, feasible, entry)
+                    got = solve_linear_congruence(A, b, moduli)
+                    if feasible:
+                        assert got is not None and self.satisfies(A, b, moduli, got)
+                    else:
+                        assert got is None
+
+
 class TestGroupBasics:
     def test_validation(self):
         with pytest.raises(ValueError):

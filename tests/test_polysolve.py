@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import cosetint.groups
 from cosetint.groups import FiniteAbelianGroup
 from cosetint.classify import IN_P, classify_affine, classify_homogeneous
 from cosetint.model import ProblemInstance, SubsetS, oracle_solve, verify_certificate
@@ -128,3 +129,24 @@ def test_scales_to_desk_size():
     elapsed = time.monotonic() - start
     assert res.kind in ("yes", "no")
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_desk_size_system_has_one_column_per_subgroup_generator(monkeypatch):
+    # the instance of test_scales_to_desk_size: S is a coset of <32> in Z_256,
+    # whose 8 elements must enter the system as one generator per slot,
+    # 64 H-generators + 64 slots = 128 columns
+    G = FiniteAbelianGroup((256,))
+    rng = random.Random(1)
+    S = SubsetS.of(G, [G.add((7,), G.scale(k, (32,))) for k in range(8)])
+    hgens = tuple(tuple((rng.randrange(256),) for _ in range(64)) for _ in range(64))
+    inst = ProblemInstance(G, 64, tuple((0,) for _ in range(64)), hgens)
+    shapes = []
+    solve = cosetint.groups.solve_linear_congruence
+
+    def recording(mat, rhs, moduli):
+        shapes.append((len(mat), len(mat[0]) if mat else 0))
+        return solve(mat, rhs, moduli)
+
+    monkeypatch.setattr(cosetint.groups, "solve_linear_congruence", recording)
+    solve_affine_coset(inst, S)
+    assert [s for s in shapes if s[0] == 64] == [(64, 128)]
