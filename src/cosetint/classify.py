@@ -90,19 +90,20 @@ def dilation_core(S: SubsetS) -> SubsetS:
 
 def find_noncoset_witness(S: SubsetS):
     """Lexicographically smallest (s, a, b) with s, s+a, s+b in S,
-    a != b, and s+a+b outside S; None means S is a coset."""
+    a != b, and s+a+b outside S; None means S is a coset.
+
+    For a fixed s, a and b range over S - s in ascending order, which are
+    exactly the candidates with s+a and s+b in S: O(|S|^3) tests, however
+    large G is."""
     if len(S) < 3:
         raise ValueError("witness search needs |S| >= 3")
     G = S.group
-    everything = tuple(G.elements())
     for s in S.sorted_elements():
-        for a in everything:
-            if G.add(s, a) not in S:
-                continue
-            for b in everything:
-                if b == a or G.add(s, b) not in S:
-                    continue
-                if G.add(G.add(s, a), b) not in S:
+        shifts = sorted(G.sub(x, s) for x in S.elements)
+        for a in shifts:
+            sa = G.add(s, a)
+            for b in shifts:
+                if b != a and G.add(sa, b) not in S:
                     return s, a, b
     return None
 

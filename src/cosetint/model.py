@@ -9,7 +9,7 @@ against, so it must be simple enough to trust by inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from .groups import FiniteAbelianGroup, GroupElement
@@ -99,6 +99,7 @@ class ProblemInstance:
 class SolveResult:
     kind: str  # "yes" | "no" | "budget_exceeded"
     certificate: Optional[Certificate] = None
+    nodes: int = field(default=0, compare=False)  # oracle search nodes; 0 elsewhere
 
     def __post_init__(self):
         if self.kind not in ("yes", "no", "budget_exceeded"):
@@ -133,6 +134,19 @@ class _BudgetExceeded(Exception):
     pass
 
 
+class _Successors(dict):
+    """x -> x + g for one generator entry g, filled on demand."""
+
+    def __init__(self, group: FiniteAbelianGroup, g: GroupElement):
+        super().__init__()
+        self.group = group
+        self.g = g
+
+    def __missing__(self, x: GroupElement) -> GroupElement:
+        y = self[x] = self.group.add(x, self.g)
+        return y
+
+
 def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exhaustive pruned DFS over coefficient digits in [0, exponent).
 
@@ -140,7 +154,15 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     remaining generator can change it, so identity-like leading blocks
     prune the search hard.  Digits are tried in ascending order with
     generators in given order, which makes the first certificate found
-    the lexicographically smallest one.
+    the lexicographically smallest one.  Every call of the search is one
+    node and counts against the budget; the result carries the count
+    (budget + 1 when the budget is exceeded).
+
+    The running point is a list of element tuples.  Adding generator
+    entry g to a coordinate reads a successor memo x -> x + g, one dict
+    per distinct entry, filled as the search first takes each step, so
+    memory grows with the transitions taken and nothing of size |G| is
+    allocated.
     """
     if S.group != inst.group:
         raise ValueError("subset and instance are over different groups")
@@ -150,10 +172,7 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     t, ngens = inst.t, len(inst.hgens)
     exp = G.exponent
     zero = G.zero()
-
-    in_s = bytearray(G.order)
-    for e in S.elements:
-        in_s[G.index_of(e)] = 1
+    members = S.elements
 
     # last_touch[i]: index of the last generator with a nonzero entry at i
     last_touch = [-1] * t
@@ -165,48 +184,41 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     for i in range(t):
         final_at[last_touch[i] + 1].append(i)
 
-    point = [list(e) for e in inst.xstar]
-    index_of = G.index_of
-    add_into = G.moduli
-    dim = G.dim
+    # moves[k]: (coordinate, successor memo) for each nonzero entry of gen k
+    memos = {g: _Successors(G, g) for g in set().union(*inst.hgens)}
+    moves = [[(i, memos[g]) for i, g in enumerate(gen) if g != zero] for gen in inst.hgens]
+    point = list(inst.xstar)
     nodes = 0
-
-    def coords_ok(which) -> bool:
-        return all(in_s[index_of(tuple(point[i]))] for i in which)
 
     def dfs(k: int, stack) -> Optional[Tuple[int, ...]]:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _BudgetExceeded
-        if not coords_ok(final_at[k]):
-            return None
+        for i in final_at[k]:
+            if point[i] not in members:
+                return None
         if k == ngens:
             return tuple(stack)
-        gen = inst.hgens[k]
-        touched = [i for i in range(t) if gen[i] != zero]
+        move = moves[k]
         for digit in range(exp):
             if digit:
-                for i in touched:
-                    p, g = point[i], gen[i]
-                    for j in range(dim):
-                        p[j] = (p[j] + g[j]) % add_into[j]
+                for i, succ in move:
+                    point[i] = succ[point[i]]
             stack.append(digit)
             found = dfs(k + 1, stack)
             if found is not None:
                 return found
             stack.pop()
         # exponent many additions wrap every coordinate back to its start
-        for i in touched:
-            p, g = point[i], gen[i]
-            for j in range(dim):
-                p[j] = (p[j] + g[j]) % add_into[j]
+        for i, succ in move:
+            point[i] = succ[point[i]]
         return None
 
     try:
         cert = dfs(0, [])
     except _BudgetExceeded:
-        return SolveResult("budget_exceeded")
+        return SolveResult("budget_exceeded", nodes=nodes)
     if cert is None:
-        return SolveResult("no")
-    return SolveResult("yes", cert)
+        return SolveResult("no", nodes=nodes)
+    return SolveResult("yes", cert, nodes=nodes)

@@ -162,7 +162,7 @@ def pi_from_p(inst: ProblemInstance, S_prime: SubsetS,
     if frozenset(enum) != S_prime.elements or len(enum) != len(S_prime):
         raise ValueError("enumeration order must list each subset element once")
     span = SubgroupGens(G, enum)
-    for e in list(inst.xstar) + [h for gen in inst.hgens for h in gen]:
+    for e in set(inst.xstar).union(*inst.hgens):
         if subgroup_membership(span, e) is None:
             raise ValueError("instance data must lie in the span of the subset")
     n = len(enum)

@@ -188,3 +188,101 @@ def random_subset(rng, G):
     from cosetint.model import SubsetS
 
     return SubsetS.of(G, [e for e in G.elements() if rng.random() < 0.5])
+
+
+def reference_oracle_solve(inst, S, budget=10 ** 8):
+    """The loop version of the search oracle: the same DFS as
+    model.oracle_solve, stepping coordinates component-wise and testing
+    membership through a |G| bytearray.  Returns (result, nodes)."""
+    from typing import Optional, Tuple
+
+    from cosetint.model import SolveResult
+
+    class _BudgetExceeded(Exception):
+        pass
+
+    if S.group != inst.group:
+        raise ValueError("subset and instance are over different groups")
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    G = inst.group
+    t, ngens = inst.t, len(inst.hgens)
+    exp = G.exponent
+    zero = G.zero()
+
+    in_s = bytearray(G.order)
+    for e in S.elements:
+        in_s[G.index_of(e)] = 1
+
+    # last_touch[i]: index of the last generator with a nonzero entry at i
+    last_touch = [-1] * t
+    for k, gen in enumerate(inst.hgens):
+        for i in range(t):
+            if gen[i] != zero:
+                last_touch[i] = k
+    final_at = [[] for _ in range(ngens + 1)]
+    for i in range(t):
+        final_at[last_touch[i] + 1].append(i)
+
+    point = [list(e) for e in inst.xstar]
+    index_of = G.index_of
+    add_into = G.moduli
+    dim = G.dim
+    nodes = 0
+
+    def coords_ok(which) -> bool:
+        return all(in_s[index_of(tuple(point[i]))] for i in which)
+
+    def dfs(k: int, stack) -> Optional[Tuple[int, ...]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _BudgetExceeded
+        if not coords_ok(final_at[k]):
+            return None
+        if k == ngens:
+            return tuple(stack)
+        gen = inst.hgens[k]
+        touched = [i for i in range(t) if gen[i] != zero]
+        for digit in range(exp):
+            if digit:
+                for i in touched:
+                    p, g = point[i], gen[i]
+                    for j in range(dim):
+                        p[j] = (p[j] + g[j]) % add_into[j]
+            stack.append(digit)
+            found = dfs(k + 1, stack)
+            if found is not None:
+                return found
+            stack.pop()
+        # exponent many additions wrap every coordinate back to its start
+        for i in touched:
+            p, g = point[i], gen[i]
+            for j in range(dim):
+                p[j] = (p[j] + g[j]) % add_into[j]
+        return None
+
+    try:
+        cert = dfs(0, [])
+    except _BudgetExceeded:
+        return SolveResult("budget_exceeded"), nodes
+    if cert is None:
+        return SolveResult("no"), nodes
+    return SolveResult("yes", cert), nodes
+
+
+def reference_noncoset_witness(S):
+    """The full-G scan for the lexicographically smallest non-coset
+    witness (s, a, b): s, s+a, s+b in S, a != b, s+a+b outside S."""
+    G = S.group
+    everything = tuple(G.elements())
+    for s in S.sorted_elements():
+        for a in everything:
+            if G.add(s, a) not in S:
+                continue
+            for b in everything:
+                if b == a or G.add(s, b) not in S:
+                    continue
+                if G.add(G.add(s, a), b) not in S:
+                    return s, a, b
+    return None

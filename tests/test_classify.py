@@ -15,7 +15,7 @@ from cosetint.classify import (
 )
 from cosetint.model import SubsetS
 
-from helpers import all_subgroups, small_groups
+from helpers import all_subgroups, reference_noncoset_witness, small_groups
 
 Z4 = FiniteAbelianGroup((4,))
 Z5 = FiniteAbelianGroup((5,))
@@ -141,6 +141,35 @@ class TestWitness:
                 assert s in S and G.add(s, a) in S and G.add(s, b) in S
                 assert a != b
                 assert G.add(G.add(s, a), b) not in S
+
+    def test_matches_full_group_scan(self):
+        for G in small_groups(8):
+            for S in all_subsets(G):
+                if len(S) >= 3:
+                    assert find_noncoset_witness(S) == reference_noncoset_witness(S), S
+
+    @pytest.mark.parametrize("elems", [
+        [(0,), (1,), (3,)],
+        [(0,), (1,), (3,), (7,), (1 << 19,), (5 << 16,), ((1 << 20) - 1,)],
+        # a coset: the search exhausts every (s, a, b) and finds none
+        [(5 + k * (1 << 17),) for k in range(8)],
+    ])
+    def test_bounded_at_max_order(self, monkeypatch, elems):
+        # the scan must not touch G: count membership tests, not seconds
+        G = FiniteAbelianGroup((1 << 20,))
+        S = SubsetS.of(G, elems)
+        calls = 0
+        contains = SubsetS.__contains__
+
+        def counting(self, element):
+            nonlocal calls
+            calls += 1
+            return contains(self, element)
+
+        monkeypatch.setattr(SubsetS, "__contains__", counting)
+        w = find_noncoset_witness(S)
+        assert (w is None) == (len(elems) == 8)
+        assert 0 < calls <= len(S) ** 3
 
 
 class TestClassifyAffine:

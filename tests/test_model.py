@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosetint.groups import FiniteAbelianGroup, SubgroupGens, subgroup_enumerate
+from cosetint.hardness import apply_pipeline, compile_hardness
+from cosetint.transforms import Graph
 from cosetint.model import (
     ProblemInstance,
     SolveResult,
@@ -18,6 +20,7 @@ from helpers import (
     flatten,
     random_instance,
     random_subset,
+    reference_oracle_solve,
     small_groups,
     unflatten,
 )
@@ -163,3 +166,63 @@ class TestOracleSolve:
         if res.kind == "yes":
             assert verify_certificate(inst, S, res.certificate)
             assert witness_point(inst, res.certificate) in [witness_point(inst, res.certificate)]
+
+
+def same_search(inst, S, budget=10 ** 8):
+    """The oracle and the loop-version reference agree on kind,
+    certificate and node count; returns the reference's node count."""
+    ref, ref_nodes = reference_oracle_solve(inst, S, budget)
+    res = oracle_solve(inst, S, budget)
+    assert (res.kind, res.certificate, res.nodes) == (ref.kind, ref.certificate, ref_nodes), \
+        (inst, sorted(S.elements), budget)
+    return ref_nodes
+
+
+# the five compile showcase targets, plus one that divides out a subgroup
+REPLAY_TARGETS = (
+    ("P", (4,), ((0,), (1,))),
+    ("P", (4,), ((0,), (1,), (2,))),
+    ("P", (2, 2), ((0, 1), (1, 0), (1, 1))),
+    ("Pi", (5,), ((1,), (2,), (4,))),
+    ("Pi", (6,), ((1,), (2,), (4,))),
+    ("P", (6,), ((0,), (1,), (2,), (4,), (5,))),
+)
+
+
+class TestOracleMatchesReference:
+    def test_nodes_do_not_take_part_in_equality(self):
+        assert SolveResult("no", nodes=7) == SolveResult("no")
+        assert hash(SolveResult("yes", (1,), nodes=3)) == hash(SolveResult("yes", (1,)))
+        inst = ProblemInstance(Z4, 1, ((1,),), (((2,),),))
+        assert oracle_solve(inst, SubsetS.of(Z4, [(0,), (1,)])).nodes == 2
+
+    def test_random_small_groups(self):
+        rng = random.Random(31)
+        groups = small_groups(8)
+        budgets_checked = 0
+        for trial in range(1200):
+            G = rng.choice(groups)
+            inst = random_instance(rng, G, max_t=4, max_gens=4)
+            S = random_subset(rng, G)
+            nodes = same_search(inst, S)
+            if trial % 10 == 0:
+                for budget in range(1, nodes + 2):
+                    same_search(inst, S, budget)
+                budgets_checked += 1
+        assert budgets_checked == 120
+
+    def test_replay_targets_on_gnm_graphs(self):
+        rng = random.Random(18)
+        all_edges = [(u, v) for u in range(1, 11) for v in range(u + 1, 11)]
+        graphs = [Graph.of(10, rng.sample(all_edges, 18)) for _ in range(3)]
+        kinds = set()
+        for variant, mods, elems in REPLAY_TARGETS:
+            G = FiniteAbelianGroup(mods)
+            pipe = compile_hardness(G, SubsetS.of(G, elems), variant, selfcheck=False)
+            for graph in graphs:
+                inst, _ = apply_pipeline(pipe, graph)
+                same_search(inst, pipe.subset, budget=5 * 10 ** 4)
+                kinds.add((mods, oracle_solve(inst, pipe.subset, budget=5 * 10 ** 4).kind))
+        # the divide-out target exceeds the budget; both answers occur elsewhere
+        assert ((6,), "budget_exceeded") in kinds
+        assert {k for _, k in kinds} == {"yes", "no", "budget_exceeded"}

@@ -1,0 +1,16 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compile_showcase_runs_clean():
+    # compiles, self-checks and replays every showcase target on K3/C5/P3/K4
+    assert load_script("compile_showcase").main([]) == 0

@@ -266,6 +266,21 @@ class TestPiRetagging:
         with pytest.raises(ValueError):
             pi_from_p(inst, S)
 
+    def test_rejects_one_out_of_span_entry_repeated_or_not(self):
+        # each distinct entry is tested once; one entry outside span{2,4}
+        # must still be found, alone or repeated among in-span entries
+        S = SubsetS.of(Z6, [(2,), (4,)])
+        for t, xstar, hgens in [
+            (3, ((2,), (4,), (0,)), (((2,), (3,), (4,)),)),
+            (3, ((3,), (2,), (3,)), (((3,), (3,), (3,)), ((2,), (0,), (4,)))),
+            (2, ((0,), (0,)), (((4,), (2,)), ((2,), (1,)))),
+        ]:
+            inst = ProblemInstance(Z6, t, xstar, hgens)
+            with pytest.raises(ValueError, match="span of the subset"):
+                pi_from_p(inst, S)
+        inst = ProblemInstance(Z6, 3, ((2,), (4,), (2,)), (((4,), (4,), (0,)),))
+        assert pi_from_p(inst, S).t == 5
+
     def test_answer_preserving_prime_order(self):
         rng = random.Random(6)
         primes = [Z2, Z3, Z5, FiniteAbelianGroup((7,))]
