@@ -5,6 +5,11 @@ to the end of the line.  Serializers emit a canonical form (sorted where
 an order is not semantically fixed) and parse(format(x)) == x for every
 value; formatting a parsed file reproduces it byte for byte as long as it
 was canonical to begin with.
+
+Instance files repeat a few group elements in many cells.  The instance
+serializer formats each distinct entry object once, and the instance
+parser parses and checks each distinct element token once, through a
+table that lives for one call; every cell is then a lookup.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .groups import (
     Homomorphism,
     SubgroupGens,
 )
-from .model import ProblemInstance, SubsetS
+from .model import ProblemInstance, SubsetS, entry_table
 from .transforms import Graph
 from .hardness import (
     DivideOutLift,
@@ -95,19 +100,19 @@ def format_element(e: GroupElement) -> str:
 _TUPLE_RE = re.compile(r"\((?:-?\d+(?:,-?\d+)*)?\)")
 
 
-def _parse_int_tuple(s: str) -> Tuple[int, ...]:
+def _parse_int_tuple(s: str, lineno: Optional[int] = None) -> Tuple[int, ...]:
     if not _TUPLE_RE.fullmatch(s):
-        _fail(f"bad tuple {s!r}: expected (a,b,...)")
+        _fail(f"bad tuple {s!r}: expected (a,b,...)", lineno)
     body = s[1:-1]
     return tuple(int(v) for v in body.split(",")) if body else ()
 
 
-def parse_element(G: FiniteAbelianGroup, s: str) -> GroupElement:
-    e = _parse_int_tuple(s)
+def parse_element(G: FiniteAbelianGroup, s: str, lineno: Optional[int] = None) -> GroupElement:
+    e = _parse_int_tuple(s, lineno)
     if len(e) != G.dim:
-        _fail(f"element {s} has {len(e)} coordinates, group has {G.dim}")
+        _fail(f"element {s} has {len(e)} coordinates, group has {G.dim}", lineno)
     if not G.contains(e):
-        _fail(f"element {s} out of range for group {format_group(G)}")
+        _fail(f"element {s} out of range for group {format_group(G)}", lineno)
     return e
 
 
@@ -185,17 +190,28 @@ def parse_subset(G: FiniteAbelianGroup, text: str) -> SubsetS:
 
 
 def format_instance(inst: ProblemInstance, header: Sequence[str] = ()) -> str:
+    texts = entry_table((inst.xstar,) + inst.hgens, format_element)
+
+    def row_text(row) -> str:
+        return " ".join(map(texts.__getitem__, map(id, row)))
+
     lines = [f"# {h}" for h in header]
     lines.append(f"group: {format_group(inst.group)}")
     lines.append(f"t: {inst.t}")
-    lines.append(("xstar: " + " ".join(format_element(e) for e in inst.xstar)).rstrip())
+    lines.append(("xstar: " + row_text(inst.xstar)).rstrip())
     for gen in inst.hgens:
-        lines.append(("gen: " + " ".join(format_element(e) for e in gen)).rstrip())
+        lines.append(("gen: " + row_text(gen)).rstrip())
     return "\n".join(lines) + "\n"
 
 
-def _split_elements(G: FiniteAbelianGroup, rest: str, lineno: int):
-    return tuple(parse_element(G, tok) for tok in rest.split())
+def _split_elements(G: FiniteAbelianGroup, rest: str, lineno: int, parsed: dict):
+    """The line's element tokens; `parsed` maps each token already seen in
+    this file to its element, so each distinct token is parsed once."""
+    toks = rest.split()
+    for tok in dict.fromkeys(toks):
+        if tok not in parsed:
+            parsed[tok] = parse_element(G, tok, lineno)
+    return tuple(map(parsed.__getitem__, toks))
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -217,12 +233,13 @@ def parse_instance(text: str) -> ProblemInstance:
     t = int(v1)
     if k2 != "xstar":
         _fail("third line must be 'xstar: ...'", l2)
-    xstar = _split_elements(G, v2, l2)
+    parsed = {}
+    xstar = _split_elements(G, v2, l2, parsed)
     hgens = []
     for lineno, key, rest in fields[3:]:
         if key != "gen":
             _fail(f"unexpected line key {key!r}", lineno)
-        hgens.append(_split_elements(G, rest, lineno))
+        hgens.append(_split_elements(G, rest, lineno, parsed))
     try:
         return ProblemInstance(G, t, xstar, tuple(hgens))
     except ValueError as e:

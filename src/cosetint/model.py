@@ -10,13 +10,32 @@ against, so it must be simple enough to trust by inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .groups import FiniteAbelianGroup, GroupElement
 
 DEFAULT_BUDGET = 10 ** 8
 
 Certificate = Tuple[int, ...]
+
+
+def distinct_entries(rows: Sequence[Sequence[GroupElement]]) -> Dict[int, GroupElement]:
+    """id(e) -> e for each distinct entry object of the rows.
+
+    Distinct means a distinct object, not a distinct value: (1,) and
+    (1.0,) are equal but are two entries here.  The ids stay unique only
+    while the rows hold the objects, so the result must not outlive them.
+    """
+    entries: Dict[int, GroupElement] = {}
+    for row in rows:
+        entries.update(zip(map(id, row), row))
+    return entries
+
+
+def entry_table(rows: Sequence[Sequence[GroupElement]], f) -> Dict[int, object]:
+    """id(e) -> f(e), computed once per distinct entry object of the rows.
+    Like `distinct_entries`, it must not outlive the rows."""
+    return {key: f(e) for key, e in distinct_entries(rows).items()}
 
 
 @dataclass(frozen=True)
@@ -60,7 +79,16 @@ class SubsetS:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """(t, xstar, hgens) over a base group; hgens generate H <= G^t."""
+    """(t, xstar, hgens) over a base group; hgens generate H <= G^t.
+
+    Every entry is normalized to a tuple and checked to be an element of
+    the group, once per distinct entry object (keyed by `id`, so an entry
+    equal to a checked one but of another type, such as (1.0,) after
+    (1,), is still checked and rejected).  When a check fails, a
+    cell-by-cell pass names the first error in cell order: xstar's
+    length, its first bad entry, then each generator's length and its
+    first bad entry.
+    """
 
     group: FiniteAbelianGroup
     t: int
@@ -70,21 +98,30 @@ class ProblemInstance:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("t must be nonnegative")
-        xstar = tuple(tuple(e) for e in self.xstar)
-        hgens = tuple(tuple(tuple(e) for e in gen) for gen in self.hgens)
-        if len(xstar) != self.t:
-            raise ValueError(f"xstar has length {len(xstar)}, expected t={self.t}")
-        for e in xstar:
-            if not self.group.contains(e):
-                raise ValueError(f"xstar entry {e} not in group {self.group}")
-        for gen in hgens:
-            if len(gen) != self.t:
-                raise ValueError(f"generator has length {len(gen)}, expected t={self.t}")
-            for e in gen:
-                if not self.group.contains(e):
-                    raise ValueError(f"generator entry {e} not in group {self.group}")
+        xstar = tuple(map(tuple, self.xstar))
+        hgens = tuple(tuple(map(tuple, gen)) for gen in self.hgens)
+        entries = distinct_entries((xstar,) + hgens)
+        if (len(xstar) != self.t or any(len(gen) != self.t for gen in hgens)
+                or not all(map(self.group.contains, entries.values()))):
+            raise ValueError(self._first_error(xstar, hgens))
         object.__setattr__(self, "xstar", xstar)
         object.__setattr__(self, "hgens", hgens)
+
+    def _first_error(self, xstar, hgens) -> Optional[str]:
+        """The complaint of a cell-by-cell check, which runs only once a
+        length or a distinct entry has failed."""
+        if len(xstar) != self.t:
+            return f"xstar has length {len(xstar)}, expected t={self.t}"
+        for e in xstar:
+            if not self.group.contains(e):
+                return f"xstar entry {e} not in group {self.group}"
+        for gen in hgens:
+            if len(gen) != self.t:
+                return f"generator has length {len(gen)}, expected t={self.t}"
+            for e in gen:
+                if not self.group.contains(e):
+                    return f"generator entry {e} not in group {self.group}"
+        return None
 
     @property
     def power_group(self) -> FiniteAbelianGroup:

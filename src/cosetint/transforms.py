@@ -5,6 +5,11 @@ instances of another so that yes/no answers are preserved; the hardness
 compiler chains them.  The two gadgets are the reduction front-ends:
 one reduces 3-colorability to S = {0,1} over a cyclic group of order at
 least 4, the other reduces |G|-colorability to S = G minus zero.
+
+An instance holds a few distinct group elements in many cells, so the
+transformers compute the image of each distinct entry object once and
+map the cells through that table, and the gadgets fill their cells with
+a few shared element objects.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .groups import (
     subgroup_membership,
 )
 from .classify import dilation_core
-from .model import Certificate, ProblemInstance, SubsetS
+from .model import Certificate, ProblemInstance, SubsetS, entry_table
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,17 @@ def phi_fixed_subset(S: SubsetS, c: Homomorphism, g: GroupElement) -> SubsetS:
     return SubsetS(G, frozenset(x for x in S.elements if G.add(c.apply(x), g) in S))
 
 
+def _mapped(table: Dict[int, GroupElement], row: Sequence[GroupElement]):
+    return tuple(map(table.__getitem__, map(id, row)))
+
+
 def translate_instance(inst: ProblemInstance, g: GroupElement) -> ProblemInstance:
     """Shift xstar by g everywhere; answers move from S to S + g."""
     G = inst.group
     if not G.contains(g):
         raise ValueError(f"{g} not in group {G}")
-    return ProblemInstance(G, inst.t, tuple(G.add(x, g) for x in inst.xstar), inst.hgens)
+    shifted = entry_table((inst.xstar,), lambda x: G.add(x, g))
+    return ProblemInstance(G, inst.t, _mapped(shifted, inst.xstar), inst.hgens)
 
 
 def map_instance(inst: ProblemInstance, f: Homomorphism) -> ProblemInstance:
@@ -88,11 +98,12 @@ def map_instance(inst: ProblemInstance, f: Homomorphism) -> ProblemInstance:
     zero = f.source.zero()
     if any(k != zero for k in kernel_of_hom(f).gens):
         raise ValueError("instance mapping needs an injective homomorphism")
+    image = entry_table((inst.xstar,) + inst.hgens, f.apply)
     return ProblemInstance(
         f.target,
         inst.t,
-        tuple(f.apply(x) for x in inst.xstar),
-        tuple(tuple(f.apply(h) for h in gen) for gen in inst.hgens),
+        _mapped(image, inst.xstar),
+        tuple(_mapped(image, gen) for gen in inst.hgens),
     )
 
 
@@ -110,14 +121,16 @@ def divideout_lift(inst: ProblemInstance, G: FiniteAbelianGroup,
     if inst.group != qmap.group:
         raise ValueError("instance is not over the quotient of G by K")
     t = inst.t
-    xstar = tuple(qmap.lift(x) for x in inst.xstar)
-    lifted = [tuple(qmap.lift(h) for h in gen) for gen in inst.hgens]
+    lift = entry_table((inst.xstar,) + inst.hgens, qmap.lift)
+    xstar = _mapped(lift, inst.xstar)
+    lifted = [_mapped(lift, gen) for gen in inst.hgens]
+    zero = G.zero()
     slack = []
     for i in range(t):
         for k in K.gens:
-            if k == G.zero():
+            if k == zero:
                 continue
-            gen = [G.zero()] * t
+            gen = [zero] * t
             gen[i] = k
             slack.append(tuple(gen))
     return ProblemInstance(G, t, xstar, tuple(lifted) + tuple(slack))
@@ -134,8 +147,10 @@ def transform_double(inst: ProblemInstance, c: Homomorphism, g: GroupElement) ->
         raise ValueError("doubling needs an endomorphism of the instance group")
     if not G.contains(g):
         raise ValueError(f"{g} not in group {G}")
-    xstar = tuple(inst.xstar) + tuple(G.add(c.apply(x), g) for x in inst.xstar)
-    hgens = tuple(tuple(gen) + tuple(c.apply(h) for h in gen) for gen in inst.hgens)
+    image = entry_table((inst.xstar,) + inst.hgens, c.apply)
+    shifted = entry_table((inst.xstar,), lambda x: G.add(image[id(x)], g))
+    xstar = inst.xstar + _mapped(shifted, inst.xstar)
+    hgens = tuple(gen + _mapped(image, gen) for gen in inst.hgens)
     return ProblemInstance(G, 2 * inst.t, xstar, hgens)
 
 
@@ -168,8 +183,9 @@ def pi_from_p(inst: ProblemInstance, S_prime: SubsetS,
     n = len(enum)
     t2 = inst.t + n
     ystar = tuple(inst.xstar) + enum
-    padded = tuple(tuple(gen) + (G.zero(),) * n for gen in inst.hgens)
-    xstar = tuple(G.zero() for _ in range(t2))
+    pad = (G.zero(),) * n
+    padded = tuple(tuple(gen) + pad for gen in inst.hgens)
+    xstar = (G.zero(),) * t2
     return ProblemInstance(G, t2, xstar, (ystar,) + padded)
 
 
@@ -214,20 +230,21 @@ def gadget_s01(graph: Graph, G: FiniteAbelianGroup) -> Tuple[ProblemInstance, Ga
     t = 5 * nv + 3 * ne
     layout = GadgetLayout(vertices, colors, edges, offsets, t)
 
-    xstar = [(0,)] * t
+    zero, one, minus_one = (0,), (1,), (n - 1,)
+    xstar = [zero] * t
     for v in vertices:
-        xstar[layout.sum_index(v, 3)] = (n - 1,)
+        xstar[layout.sum_index(v, 3)] = minus_one
 
     hgens = []
     for v in vertices:
         for c in colors:
-            gen = [(0,)] * t
-            gen[layout.vc_index(v, c)] = (1,)
-            gen[layout.sum_index(v, 2)] = (1,)
-            gen[layout.sum_index(v, 3)] = (1,)
+            gen = [zero] * t
+            gen[layout.vc_index(v, c)] = one
+            gen[layout.sum_index(v, 2)] = one
+            gen[layout.sum_index(v, 3)] = one
             for e in edges:
                 if v in e:
-                    gen[layout.ec_index(e, c)] = (1,)
+                    gen[layout.ec_index(e, c)] = one
             hgens.append(tuple(gen))
     return ProblemInstance(G, t, tuple(xstar), tuple(hgens)), layout
 
@@ -258,17 +275,25 @@ def gadget_coloring_full(graph: Graph, G: FiniteAbelianGroup) -> ProblemInstance
         raise ValueError("the full-coloring gadget needs group order at least 3")
     edges = graph.sorted_edges()
     t = len(edges)
+    zero = G.zero()
+    shared = {zero: zero}
+    # units[j][coeff]: coeff times the j-th standard generator, one object per value
+    units = []
+    for j, d in enumerate(G.moduli):
+        signed = {0: zero}
+        for coeff in (1, -1):
+            e = [0] * G.dim
+            e[j] = coeff % d
+            unit = tuple(e)
+            signed[coeff] = shared.setdefault(unit, unit)
+        units.append(signed)
     hgens = []
     for v in range(1, graph.n + 1):
-        for j in range(G.dim):
-            gen = []
-            for (u, w) in edges:
-                coeff = 1 if v == u else (-1 if v == w else 0)
-                e = [0] * G.dim
-                e[j] = coeff % G.moduli[j]
-                gen.append(tuple(e))
-            hgens.append(tuple(gen))
-    xstar = tuple(G.zero() for _ in range(t))
+        for signed in units:
+            hgens.append(tuple(
+                signed[1 if v == u else (-1 if v == w else 0)] for (u, w) in edges
+            ))
+    xstar = (zero,) * t
     return ProblemInstance(G, t, xstar, tuple(hgens))
 
 

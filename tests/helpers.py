@@ -4,10 +4,32 @@ Everything here is deliberately naive: these are the independent
 implementations that the fast library code is checked against.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
-from cosetint.groups import FiniteAbelianGroup, SubgroupGens
+from cosetint.formats import (
+    ParseError,
+    _fail,
+    _logical_lines,
+    format_element,
+    format_group,
+    parse_element,
+    parse_group,
+)
+from cosetint.groups import FiniteAbelianGroup, SubgroupGens, kernel_of_hom, quotient_group
+from cosetint.model import ProblemInstance
+
+# the replay benchmark's targets: the five compile showcase targets, plus
+# P over Z_6 with S = {0,1,2,4,5}, which divides out a subgroup
+REPLAY_TARGETS = (
+    ("P", (4,), ((0,), (1,))),
+    ("P", (4,), ((0,), (1,), (2,))),
+    ("P", (2, 2), ((0, 1), (1, 0), (1, 1))),
+    ("Pi", (5,), ((1,), (2,), (4,))),
+    ("Pi", (6,), ((1,), (2,), (4,))),
+    ("P", (6,), ((0,), (1,), (2,), (4,), (5,))),
+)
 
 
 def mat_mul(A, B):
@@ -123,7 +145,12 @@ def proper_colorings(graph, k):
 
 def is_three_colorable(graph):
     """Backtracking 3-colorability check, independent of the library."""
+    return three_coloring(graph) is not None
 
+
+def three_coloring(graph):
+    """A proper 3-coloring found by backtracking, as a tuple indexed by
+    vertex-1, or None."""
     adj = {v: set() for v in range(1, graph.n + 1)}
     for u, w in graph.edges:
         adj[u].add(w)
@@ -141,7 +168,7 @@ def is_three_colorable(graph):
                 del colors[v]
         return False
 
-    return go(1)
+    return tuple(colors[v] for v in range(1, graph.n + 1)) if go(1) else None
 
 
 def flatten(G, element_seq):
@@ -286,3 +313,146 @@ def reference_noncoset_witness(S):
                 if G.add(G.add(s, a), b) not in S:
                     return s, a, b
     return None
+
+
+
+# --- cell-by-cell references -------------------------------------------------
+# The instance layers as they were before they worked once per distinct
+# entry: every cell is checked, mapped, formatted and parsed on its own.
+
+
+def reference_validate(group, t, xstar, hgens):
+    """ProblemInstance's cell-by-cell check; returns the normalized
+    (xstar, hgens) or raises the ValueError the instance would raise."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    xstar = tuple(tuple(e) for e in xstar)
+    hgens = tuple(tuple(tuple(e) for e in gen) for gen in hgens)
+    if len(xstar) != t:
+        raise ValueError(f"xstar has length {len(xstar)}, expected t={t}")
+    for e in xstar:
+        if not group.contains(e):
+            raise ValueError(f"xstar entry {e} not in group {group}")
+    for gen in hgens:
+        if len(gen) != t:
+            raise ValueError(f"generator has length {len(gen)}, expected t={t}")
+        for e in gen:
+            if not group.contains(e):
+                raise ValueError(f"generator entry {e} not in group {group}")
+    return xstar, hgens
+
+
+def reference_translate_instance(inst, g):
+    G = inst.group
+    if not G.contains(g):
+        raise ValueError(f"{g} not in group {G}")
+    return ProblemInstance(G, inst.t, tuple(G.add(x, g) for x in inst.xstar), inst.hgens)
+
+
+def reference_map_instance(inst, f):
+    if f.source != inst.group:
+        raise ValueError("homomorphism source does not match instance group")
+    zero = f.source.zero()
+    if any(k != zero for k in kernel_of_hom(f).gens):
+        raise ValueError("instance mapping needs an injective homomorphism")
+    return ProblemInstance(
+        f.target,
+        inst.t,
+        tuple(f.apply(x) for x in inst.xstar),
+        tuple(tuple(f.apply(h) for h in gen) for gen in inst.hgens),
+    )
+
+
+def reference_divideout_lift(inst, G, K):
+    if K.group != G:
+        raise ValueError("kernel generators live in a different group")
+    qmap = quotient_group(G, K)
+    if inst.group != qmap.group:
+        raise ValueError("instance is not over the quotient of G by K")
+    t = inst.t
+    xstar = tuple(qmap.lift(x) for x in inst.xstar)
+    lifted = [tuple(qmap.lift(h) for h in gen) for gen in inst.hgens]
+    slack = []
+    for i in range(t):
+        for k in K.gens:
+            if k == G.zero():
+                continue
+            gen = [G.zero()] * t
+            gen[i] = k
+            slack.append(tuple(gen))
+    return ProblemInstance(G, t, xstar, tuple(lifted) + tuple(slack))
+
+
+def reference_transform_double(inst, c, g):
+    G = inst.group
+    if c.source != G or c.target != G:
+        raise ValueError("doubling needs an endomorphism of the instance group")
+    if not G.contains(g):
+        raise ValueError(f"{g} not in group {G}")
+    xstar = tuple(inst.xstar) + tuple(G.add(c.apply(x), g) for x in inst.xstar)
+    hgens = tuple(tuple(gen) + tuple(c.apply(h) for h in gen) for gen in inst.hgens)
+    return ProblemInstance(G, 2 * inst.t, xstar, hgens)
+
+
+def reference_gadget_coloring_full(graph, G):
+    if G.order < 3:
+        raise ValueError("the full-coloring gadget needs group order at least 3")
+    edges = graph.sorted_edges()
+    t = len(edges)
+    hgens = []
+    for v in range(1, graph.n + 1):
+        for j in range(G.dim):
+            gen = []
+            for (u, w) in edges:
+                coeff = 1 if v == u else (-1 if v == w else 0)
+                e = [0] * G.dim
+                e[j] = coeff % G.moduli[j]
+                gen.append(tuple(e))
+            hgens.append(tuple(gen))
+    xstar = tuple(G.zero() for _ in range(t))
+    return ProblemInstance(G, t, xstar, tuple(hgens))
+
+
+def reference_format_instance(inst, header=()):
+    lines = [f"# {h}" for h in header]
+    lines.append(f"group: {format_group(inst.group)}")
+    lines.append(f"t: {inst.t}")
+    lines.append(("xstar: " + " ".join(format_element(e) for e in inst.xstar)).rstrip())
+    for gen in inst.hgens:
+        lines.append(("gen: " + " ".join(format_element(e) for e in gen)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _reference_split_elements(G, rest, lineno):
+    return tuple(parse_element(G, tok) for tok in rest.split())
+
+
+def reference_parse_instance(text):
+    lines = _logical_lines(text)
+    if len(lines) < 3:
+        _fail("instance file needs group:, t: and xstar: lines")
+    fields = []
+    for lineno, line in lines:
+        if ":" not in line:
+            _fail(f"expected 'key: value', got {line!r}", lineno)
+        key, _, rest = line.partition(":")
+        fields.append((lineno, key.strip(), rest.strip()))
+    (l0, k0, v0), (l1, k1, v1), (l2, k2, v2) = fields[0], fields[1], fields[2]
+    if k0 != "group":
+        _fail("instance file must start with a group: line", l0)
+    G = parse_group(v0)
+    if k1 != "t" or not re.fullmatch(r"\d+", v1):
+        _fail("second line must be 't: N'", l1)
+    t = int(v1)
+    if k2 != "xstar":
+        _fail("third line must be 'xstar: ...'", l2)
+    xstar = _reference_split_elements(G, v2, l2)
+    hgens = []
+    for lineno, key, rest in fields[3:]:
+        if key != "gen":
+            _fail(f"unexpected line key {key!r}", lineno)
+        hgens.append(_reference_split_elements(G, rest, lineno))
+    try:
+        return ProblemInstance(G, t, xstar, tuple(hgens))
+    except ValueError as e:
+        raise ParseError(str(e)) from e

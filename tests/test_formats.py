@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cosetint.groups import FiniteAbelianGroup, Homomorphism, SubgroupGens, scaling_hom
 from cosetint.model import ProblemInstance, SubsetS
-from cosetint.transforms import Graph, complete_graph
+from cosetint import formats
+from cosetint.transforms import Graph, complete_graph, gadget_s01
 from cosetint.hardness import (
     DivideOutLift,
     GadgetColoringFull,
@@ -38,7 +39,13 @@ from cosetint.formats import (
     parse_subset,
 )
 
-from helpers import random_instance, random_subset, small_groups
+from helpers import (
+    random_instance,
+    random_subset,
+    reference_format_instance,
+    reference_parse_instance,
+    small_groups,
+)
 
 Z4 = FiniteAbelianGroup((4,))
 
@@ -166,6 +173,84 @@ class TestInstanceFormat:
             for _ in range(20):
                 inst = random_instance(rng, G)
                 assert parse_instance(format_instance(inst)) == inst
+
+    @pytest.mark.parametrize("token, msg", [
+        ("(4)", "element (4) out of range for group 4"),
+        ("(1,0)", "element (1,0) has 2 coordinates, group has 1"),
+        ("(a)", "bad tuple '(a)': expected (a,b,...)"),
+    ])
+    def test_bad_element_token_names_its_line(self, token, msg):
+        with pytest.raises(ParseError) as err:
+            parse_instance(f"group: 4\nt: 2\nxstar: (0) (0)\ngen: (1) {token}\ngen: {token} (1)\n")
+        assert str(err.value) == f"line 4: {msg}"
+        with pytest.raises(ParseError) as err:
+            parse_instance(f"group: 4\nt: 2\n\nxstar: (0) {token}\n")
+        assert str(err.value) == f"line 4: {msg}"
+
+
+def corrupt(rng, text):
+    """The text with one element token replaced by a bad one, one token
+    dropped, or one token in a noncanonical spelling."""
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line.partition(":")[2].strip()]
+    if not rows:
+        return text
+    i = rng.choice(rows)
+    key, _, rest = lines[i].partition(":")
+    toks = rest.split()
+    j = rng.randrange(len(toks))
+    kind = rng.randrange(4)
+    if kind == 0:
+        toks[j] = rng.choice(["(9)", "(0,9)", "(-1)", "(1,2,3,4)", "()", "(x)", "1"])
+    elif kind == 1:
+        del toks[j]
+    elif kind == 2:
+        toks[j] = toks[j].replace("(", "(0").replace(",", ",-0")
+    return "\n".join(lines[:i] + [key + ": " + " ".join(toks)] + lines[i + 1:]) + "\n"
+
+
+class TestInstanceFormatMatchesReference:
+    """The per-distinct-token serializers against the cell-by-cell ones."""
+
+    def test_random_instances(self):
+        rng = random.Random(12)
+        rejected = 0
+        for G in small_groups(8):
+            for _ in range(30):
+                inst = random_instance(rng, G, max_t=5, max_gens=4)
+                text = format_instance(inst, header=["seed: 12"])
+                assert text == reference_format_instance(inst, header=["seed: 12"])
+                assert parse_instance(text) == reference_parse_instance(text) == inst
+                bad = corrupt(rng, text)
+                try:
+                    want = reference_parse_instance(bad)
+                except ParseError as e:
+                    with pytest.raises(ParseError) as got:
+                        parse_instance(bad)
+                    # the same error; element errors now name their line
+                    assert str(got.value) == str(e) or (
+                        str(got.value).startswith("line ") and str(got.value).endswith(f": {e}"))
+                    rejected += 1
+                    continue
+                got = parse_instance(bad)
+                assert repr((got.xstar, got.hgens)) == repr((want.xstar, want.hgens))
+        assert 100 < rejected < 400
+
+    def test_parses_each_distinct_token_once(self, monkeypatch):
+        calls = []
+        parse = formats.parse_element
+
+        def counting_parse(G, s, lineno=None):
+            calls.append(s)
+            return parse(G, s, lineno)
+
+        monkeypatch.setattr(formats, "parse_element", counting_parse)
+        inst, _ = gadget_s01(complete_graph(5), FiniteAbelianGroup((4,)))
+        text = format_instance(inst)
+        assert parse_instance(text) == inst
+        tokens = [tok for line in text.splitlines()[2:] for tok in line.partition(":")[2].split()]
+        assert len(tokens) == inst.t * (1 + len(inst.hgens))
+        assert 0 < len(calls) <= len(set(tokens)) == 3
 
 
 class TestGraphFormat:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +17,13 @@ from cosetint.model import (
 )
 
 from helpers import (
+    REPLAY_TARGETS,
     enum_oracle,
     flatten,
     random_instance,
     random_subset,
     reference_oracle_solve,
+    reference_validate,
     small_groups,
     unflatten,
 )
@@ -55,6 +58,88 @@ class TestProblemInstance:
     def test_homogeneous_flag(self):
         assert ProblemInstance(Z4, 1, ((0,),), (((2,),),)).is_homogeneous()
         assert not ProblemInstance(Z4, 1, ((1,),), ()).is_homogeneous()
+
+
+# entries equal to (1,) that are not group elements
+EQUAL_TO_ONE = {
+    "float": lambda: (1.0,),
+    "fraction": lambda: (Fraction(1),),
+    "numpy": lambda: (pytest.importorskip("numpy").int64(1),),
+}
+
+
+def validation_error(G, t, xstar, hgens):
+    """The message ProblemInstance raises, asserted equal to the
+    cell-by-cell check's; None when both accept."""
+    try:
+        ref_xstar, ref_hgens = reference_validate(G, t, xstar, hgens)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            ProblemInstance(G, t, xstar, hgens)
+        assert str(got.value) == str(e)
+        return str(e)
+    inst = ProblemInstance(G, t, xstar, hgens)
+    # repr tells True from 1, so the entries come out exactly as they went in
+    assert repr((inst.xstar, inst.hgens)) == repr((ref_xstar, ref_hgens))
+    return None
+
+
+class TestValidationPerDistinctEntry:
+    """Each distinct entry object is checked once; that rejects exactly
+    what the cell-by-cell check rejects, with the same message."""
+
+    @pytest.mark.parametrize("make_bad", EQUAL_TO_ONE.values(), ids=EQUAL_TO_ONE.keys())
+    def test_equal_value_of_another_type_after_a_valid_entry(self, make_bad):
+        one, bad = (1,), make_bad()
+        assert bad == one
+        # before and after the valid entry, so neither the first nor the
+        # last of equal entries may stand in for the others
+        for pair in ((one, bad), (bad, one)):
+            msg = validation_error(Z4, 2, pair, ())
+            assert msg.startswith(f"xstar entry {bad} not in group")
+            msg = validation_error(Z4, 2, (one, one), ((one, one), pair))
+            assert msg.startswith(f"generator entry {bad} not in group")
+        # checked in xstar first, then met again in a generator
+        msg = validation_error(Z4, 1, (one,), ((bad,),))
+        assert msg.startswith("generator entry")
+
+    def test_names_the_first_bad_entry(self):
+        assert validation_error(Z4, 3, ((1,), (5,), (1.0,)), ()).startswith(
+            "xstar entry (5,) not in group")
+        msg = validation_error(Z4, 2, ((1,), (1,)), (((1,), (2,)), ((4,), (7,))))
+        assert msg.startswith("generator entry (4,) not in group")
+
+    def test_length_error_comes_before_a_bad_entry_in_a_later_generator(self):
+        msg = validation_error(Z4, 2, ((1,), (1,)), (((1,),), ((9,), (1,))))
+        assert msg == "generator has length 1, expected t=2"
+        msg = validation_error(Z4, 2, ((1,), (1,)), (((9,), (1,)), ((1,),)))
+        assert msg.startswith("generator entry (9,) not in group")
+
+    def test_matches_cell_by_cell_check_on_mixed_entries(self):
+        rng = random.Random(5)
+        for G in (Z4, FiniteAbelianGroup((2, 3))):
+            shared = [G.element_at(i) for i in range(G.order)]
+            one = (1,) * G.dim
+
+            def entry():
+                r = rng.random()
+                if r < 0.5:
+                    return rng.choice(shared)
+                if r < 0.7:
+                    return G.element_at(rng.randrange(G.order))  # a fresh object
+                return rng.choice([
+                    list(one), (True,) * G.dim, (1.0,) * G.dim, (Fraction(1),) * G.dim,
+                    (4,) * G.dim, (-1,) * G.dim, (1,) * (G.dim + 1), (),
+                ])
+
+            rejected = 0
+            for _ in range(400):
+                t = rng.randrange(4)
+                xstar = [entry() for _ in range(t + (rng.random() < 0.05))]
+                hgens = [[entry() for _ in range(t + (rng.random() < 0.05))]
+                         for _ in range(rng.randrange(4))]
+                rejected += validation_error(G, t, xstar, hgens) is not None
+            assert 50 < rejected < 350
 
 
 class TestVerifyCertificate:
@@ -177,16 +262,6 @@ def same_search(inst, S, budget=10 ** 8):
         (inst, sorted(S.elements), budget)
     return ref_nodes
 
-
-# the five compile showcase targets, plus one that divides out a subgroup
-REPLAY_TARGETS = (
-    ("P", (4,), ((0,), (1,))),
-    ("P", (4,), ((0,), (1,), (2,))),
-    ("P", (2, 2), ((0, 1), (1, 0), (1, 1))),
-    ("Pi", (5,), ((1,), (2,), (4,))),
-    ("Pi", (6,), ((1,), (2,), (4,))),
-    ("P", (6,), ((0,), (1,), (2,), (4,), (5,))),
-)
 
 
 class TestOracleMatchesReference:

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,9 @@ from cosetint.groups import (
     quotient_group,
     scaling_hom,
 )
+from cosetint import hardness
+from cosetint.formats import format_instance, parse_instance
+from cosetint.hardness import apply_pipeline, compile_hardness
 from cosetint.model import ProblemInstance, SubsetS, oracle_solve, verify_certificate
 from cosetint.transforms import (
     Graph,
@@ -34,13 +39,22 @@ from cosetint.transforms import (
 from cosetint.classify import dilation_core
 
 from helpers import (
+    REPLAY_TARGETS,
     is_three_colorable,
     proper_colorings,
     random_element,
     random_instance,
     random_subgroup,
     random_subset,
+    reference_divideout_lift,
+    reference_format_instance,
+    reference_gadget_coloring_full,
+    reference_map_instance,
+    reference_parse_instance,
+    reference_transform_double,
+    reference_translate_instance,
     small_groups,
+    three_coloring,
 )
 
 Z2 = FiniteAbelianGroup((2,))
@@ -414,3 +428,203 @@ class TestKColFrom3Col:
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             kcol_from_3col(complete_graph(3), 2)
+
+
+# --- the per-distinct-entry transformers against their cell-by-cell references
+
+
+def same_instance(got, want):
+    """Equal instances whose text is byte-identical."""
+    assert got == want
+    assert format_instance(got) == reference_format_instance(want)
+
+
+def same_outcome(fast, reference, *args) -> bool:
+    """Both raise the same ValueError, or both build the same instance;
+    True in the second case."""
+    try:
+        want = reference(*args)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            fast(*args)
+        assert str(got.value) == str(e)
+        return False
+    same_instance(fast(*args), want)
+    return True
+
+
+def random_hom(rng, G, T):
+    """A random homomorphism G -> T, or None when the drawn matrix is not one."""
+    rows = tuple(tuple(rng.randrange(max(T.exponent, 1)) for _ in range(G.dim))
+                 for _ in range(T.dim))
+    try:
+        return Homomorphism(G, T, rows)
+    except ValueError:
+        return None
+
+
+def random_injection(rng, G):
+    """An automorphism of G, or for cyclic G an embedding into a larger cyclic group."""
+    if G.dim == 1 and rng.random() < 0.5:
+        k = rng.randint(2, 3)
+        return Homomorphism(G, FiniteAbelianGroup((k * G.moduli[0],)), ((k,),))
+    units = [u for u in range(1, G.exponent + 1) if math.gcd(u, G.exponent) == 1]
+    return scaling_hom(G, rng.choice(units))
+
+
+REFERENCE_STEPS = {
+    "translate_instance": reference_translate_instance,
+    "map_instance": reference_map_instance,
+    "divideout_lift": reference_divideout_lift,
+    "transform_double": reference_transform_double,
+    "gadget_coloring_full": reference_gadget_coloring_full,
+}
+
+
+@pytest.fixture(scope="module")
+def replay_pipelines():
+    pipes = {}
+    for variant, mods, elems in REPLAY_TARGETS:
+        G = FiniteAbelianGroup(mods)
+        pipes[variant, mods, elems] = compile_hardness(
+            G, SubsetS.of(G, elems), variant, selfcheck=False)
+    return pipes
+
+
+def gnm_graphs(seed, count, n=10, m=18):
+    rng = random.Random(seed)
+    all_edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return [Graph.of(n, rng.sample(all_edges, m)) for _ in range(count)]
+
+
+def entry_objects(inst):
+    return {id(e) for row in (inst.xstar, *inst.hgens) for e in row}
+
+
+class TestMatchesCellByCellReference:
+    def test_random_instances(self):
+        rng = random.Random(23)
+        groups = small_groups(8)
+        built = Counter()
+        for _ in range(600):
+            G = rng.choice(groups)
+            inst = random_instance(rng, G, max_t=4, max_gens=4)
+            g = random_element(rng, G)
+            built["translate"] += same_outcome(
+                translate_instance, reference_translate_instance, inst, g)
+            f = random_injection(rng, G) if G.dim else None
+            for hom in (f, random_hom(rng, G, rng.choice(groups))):
+                if hom is not None:
+                    built["map"] += same_outcome(map_instance, reference_map_instance, inst, hom)
+            c = random_hom(rng, G, G)
+            if c is not None:
+                built["double"] += same_outcome(
+                    transform_double, reference_transform_double, inst, c, g)
+            K = random_subgroup(rng, G)
+            over_quotient = random_instance(rng, quotient_group(G, K).group, max_t=4, max_gens=4)
+            built["divideout"] += same_outcome(
+                divideout_lift, reference_divideout_lift, over_quotient, G, K)
+        assert min(built.values()) >= 300, built
+
+    def test_entries_equal_in_value_keep_their_own_text(self):
+        one, true = (1,), (True,)
+        inst = ProblemInstance(Z4, 3, (true, one, (1,)), ((one, true, (2,)), (true, true, one)))
+        assert format_instance(inst) == reference_format_instance(inst)
+        assert "xstar: (True) (1) (1)\n" in format_instance(inst)
+        double = Homomorphism(Z4, Z4, ((3,),))
+        same_instance(translate_instance(inst, (2,)), reference_translate_instance(inst, (2,)))
+        same_instance(map_instance(inst, scaling_hom(Z4, 3)),
+                      reference_map_instance(inst, scaling_hom(Z4, 3)))
+        same_instance(transform_double(inst, double, (1,)),
+                      reference_transform_double(inst, double, (1,)))
+
+    def test_gadget_coloring_full(self):
+        rng = random.Random(4)
+        for G in small_groups(8):
+            if G.order < 3:
+                continue
+            for graph in gnm_graphs(rng.random(), 2, n=6, m=7):
+                same_instance(gadget_coloring_full(graph, G),
+                              reference_gadget_coloring_full(graph, G))
+
+    def test_replay_pipelines(self, replay_pipelines, monkeypatch):
+        graphs = gnm_graphs(11, 3)
+        certs = 0
+        for pipe in replay_pipelines.values():
+            for graph in graphs:
+                coloring = three_coloring(graph)
+                inst, cert = apply_pipeline(pipe, graph, coloring)
+                with monkeypatch.context() as m:
+                    for name, reference in REFERENCE_STEPS.items():
+                        m.setattr(hardness, name, reference)
+                    want, want_cert = apply_pipeline(pipe, graph, coloring)
+                same_instance(inst, want)
+                assert cert == want_cert
+                certs += cert is not None
+                text = format_instance(inst)
+                back = parse_instance(text)
+                assert back == reference_parse_instance(text) == inst
+                assert format_instance(back) == text
+        assert certs >= len(replay_pipelines)
+
+
+class TestWorkPerDistinctEntry:
+    """During a replay, each layer works once per distinct entry object,
+    and the gadget and the steps share element objects instead of
+    building one per cell."""
+
+    @pytest.fixture
+    def pi_z5(self, replay_pipelines):
+        return replay_pipelines["Pi", (5,), ((1,), (2,), (4,))]
+
+    def test_validation(self, pi_z5, monkeypatch):
+        calls = Counter()
+        contains = FiniteAbelianGroup.contains
+        post_init = ProblemInstance.__post_init__
+        built = []
+
+        def counting_contains(self, x):
+            calls["contains"] += 1
+            return contains(self, x)
+
+        def recording_post_init(self):
+            before = calls["contains"]
+            post_init(self)
+            built.append((self, calls["contains"] - before))
+
+        monkeypatch.setattr(FiniteAbelianGroup, "contains", counting_contains)
+        monkeypatch.setattr(ProblemInstance, "__post_init__", recording_post_init)
+        graph, = gnm_graphs(7, 1)
+        apply_pipeline(pi_z5, graph, three_coloring(graph))
+        assert len(built) == len(pi_z5.steps)  # the gadget, then one per step
+        for inst, checks in built:
+            objects = entry_objects(inst)
+            assert checks <= len(objects)
+            assert len(objects) <= 3 * inst.group.order
+            assert inst.t * (1 + len(inst.hgens)) > 100 * len(objects)
+
+    def test_homomorphism_images(self, pi_z5, monkeypatch):
+        calls = Counter()
+        apply = Homomorphism.apply
+        steps = []
+
+        def counting_apply(self, x):
+            calls["apply"] += 1
+            return apply(self, x)
+
+        def recording(step):
+            def run(inst, *args):
+                before = calls["apply"]
+                out = step(inst, *args)
+                steps.append((len(entry_objects(inst)), calls["apply"] - before))
+                return out
+            return run
+
+        monkeypatch.setattr(Homomorphism, "apply", counting_apply)
+        monkeypatch.setattr(hardness, "map_instance", recording(map_instance))
+        monkeypatch.setattr(hardness, "transform_double", recording(transform_double))
+        graph, = gnm_graphs(7, 1)
+        apply_pipeline(pi_z5, graph)
+        assert len(steps) == 2  # one map-through step, one double step
+        for distinct, images in steps:
+            assert 0 < images <= distinct
