@@ -175,7 +175,7 @@ def parse_subset(G: FiniteAbelianGroup, text: str) -> SubsetS:
     elems = []
     for lineno, line in lines:
         if line.startswith("("):
-            elems.append(parse_element(G, line))
+            elems.append(parse_element(G, line, lineno))
         elif re.fullmatch(r"\d+", line) and G.dim == 1:
             v = int(line)
             if v >= G.moduli[0]:
@@ -383,7 +383,7 @@ def _parse_step(body: str, lineno: int) -> Step:
     if name == "translate":
         _need(kv, ("group", "g"), lineno)
         G = parse_group(kv["group"])
-        return Translate(G, parse_element(G, kv["g"]))
+        return Translate(G, parse_element(G, kv["g"], lineno))
     if name == "map-through":
         _need(kv, ("source", "target", "rows"), lineno)
         src, tgt = parse_group(kv["source"]), parse_group(kv["target"])
@@ -405,7 +405,7 @@ def _parse_step(body: str, lineno: int) -> Step:
         rows = _parse_tuple_list(kv["rows"])
         if len(rows) != G.dim or any(len(r) != G.dim for r in rows):
             _fail("matrix shape does not match the group", lineno)
-        return TransformDouble(Homomorphism(G, G, rows), parse_element(G, kv["g"]))
+        return TransformDouble(Homomorphism(G, G, rows), parse_element(G, kv["g"], lineno))
     if name == "p-from-pi":
         _need(kv, (), lineno)
         return PFromPi()

@@ -1,15 +1,17 @@
 """Finite abelian groups as tuples of cyclic moduli, plus exact integer linear algebra.
 
 A group is a product Z/d_1 x ... x Z/d_k; an element is a tuple of ints with
-coordinate i reduced mod d_i.  Three elimination routines do the linear
-algebra, each deterministic:
+coordinate i reduced mod d_i.  Three deterministic routines do the linear
+algebra:
 
-- `solve_linear_congruence` (membership, preimages, lifts): row elimination
-  mod each prime power of the lcm of the moduli, combined by CRT;
-- `_diagonalize_mod` (kernels, hence intersections and relations): a
-  diagonalization mod the exponent that keeps the column transform;
-- `smith_normal_form` (quotients and abstract presentations): exact integer
-  Smith normal form, for the invariant factors.
+- `solve_linear_congruence` (membership, preimages, one preimage to lift):
+  row elimination mod each prime power of the lcm of the moduli, combined
+  by CRT;
+- `_echelon` (kernels, a quotient's lexicographically smallest lifts, and
+  through both the presentation of a span): a column echelon basis over
+  mixed moduli with extended-gcd pivots;
+- `smith_normal_form` (a quotient's invariant factors and projection):
+  exact integer Smith normal form.
 
 Moduli equal to 1 are tolerated internally (they describe trivial coordinates);
 the serialization layer is stricter and only accepts factors >= 2.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product as _iproduct
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -207,67 +208,59 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
     return U, A, V
 
 
-def _diagonalize_mod(mat: Sequence[Sequence[int]], M: int):
-    """Diagonalize working mod M: returns (D, V) with U*mat*V == D (mod M)
-    for some unimodular U that is not built.
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with g == gcd(a, b) == s*a + t*b, for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
-    Used by `kernel_of_hom`, which reads kernel directions off the columns of
-    V.  Valid for systems whose column lattice contains M * Z^rows (true for
-    every moduli-augmented matrix, since M is a multiple of each modulus).
-    All entries stay balanced-reduced mod M, so intermediate values never
-    grow.  No divisibility chain is enforced; callers use the diagonal only.
+
+def _echelon(cols: Sequence[Sequence[int]], moduli: Sequence[int], nclear: int):
+    """Echelon basis of the span of `cols` in Z/moduli[0] x Z/moduli[1] x ...
+
+    Clears coordinates 0 .. nclear-1 in turn.  Returns (pivots, rest):
+    - one pivot (i, d, col) per cleared coordinate i on which the span is not
+      zero: col is in the span, is 0 before coordinate i, and has col[i] == d,
+      a proper divisor of moduli[i];
+    - rest, columns that vanish on every cleared coordinate.
+    At every step the remaining columns span exactly the elements of the span
+    that vanish on the coordinates cleared so far (the Howell property), so
+    the span is {sum c_k * pivot_k + r : 0 <= c_k < moduli[i_k] / d_k, r in
+    span(rest)}, and reducing coordinate by coordinate with the pivots
+    yields the lexicographically smallest element of a coset.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    half = M // 2
-    A = [[v - M if (v := int(x) % M) > half else v for x in row] for row in mat]
-    VT = _identity(n)  # V stored as columns; balanced reductions are inlined for speed
+    def reduce(c):
+        return [v % m for v, m in zip(c, moduli)]
 
-    def row_add(dst, src, c):
-        A[dst] = [v - M if (v := (a + c * b) % M) > half else v for a, b in zip(A[dst], A[src])]
-
-    def col_add(dst, src, c):
-        for row in A:
-            v = (row[dst] + c * row[src]) % M
-            row[dst] = v - M if v > half else v
-        VT[dst] = [v - M if (v := (a + c * b) % M) > half else v
-                   for a, b in zip(VT[dst], VT[src])]
-
-    for k in range(min(m, n)):
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                v = A[i][j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != k:
-            A[k], A[pi] = A[pi], A[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-            VT[k], VT[pj] = VT[pj], VT[k]
-        if A[k][k] < 0:
-            A[k] = [-a for a in A[k]]
-        while True:
-            for i in range(k + 1, m):
-                while A[i][k]:
-                    row_add(i, k, -(A[i][k] // A[k][k]))
-                    if A[i][k]:
-                        A[i], A[k] = A[k], A[i]
-            for j in range(k + 1, n):
-                while A[k][j]:
-                    col_add(j, k, -(A[k][j] // A[k][k]))
-                    if A[k][j]:
-                        for row in A:
-                            row[k], row[j] = row[j], row[k]
-                        VT[k], VT[j] = VT[j], VT[k]
-            if not any(A[i][k] for i in range(k + 1, m)):
-                break
-    V = [[VT[j][i] for j in range(n)] for i in range(n)]
-    return A, V
+    cols = [c for c in map(reduce, cols) if any(c)]
+    pivots = []
+    for i in range(nclear):
+        m = moduli[i]
+        # start from the zero element written with m in coordinate i; each
+        # gcd step keeps the span and leaves coordinate i of the other column
+        # exactly 0, and the last pivot's multiple (m / d) * piv is left among
+        # the other columns as a combination of them
+        piv = [0] * len(moduli)
+        piv[i] = m
+        rest = []
+        for c in cols:
+            if c[i] == 0:
+                rest.append(c)
+                continue
+            g, s, t = _xgcd(piv[i], c[i])
+            a, b = piv[i] // g, c[i] // g
+            other = reduce([a * y - b * x for x, y in zip(piv, c)])
+            if any(other):
+                rest.append(other)
+            piv = reduce([s * x + t * y for x, y in zip(piv, c)])
+        if piv[i] < m:
+            pivots.append((i, piv[i], tuple(piv)))
+        cols = rest
+    return pivots, cols
 
 
 # Trial division up to this bound factors every modulus up to its square,
@@ -535,48 +528,19 @@ def subgroup_membership(sub: SubgroupGens, x: Sequence[int]) -> Optional[Tuple[i
 
 
 def kernel_of_hom(hom: Homomorphism) -> SubgroupGens:
-    """Generators of the kernel of hom inside its source group."""
+    """Generators of the kernel of hom inside its source group.
+
+    Echelons the graph {(hom(x), x)} on the target coordinates; the columns
+    left over vanish there, and their source parts span the kernel.
+    """
     G, T = hom.source, hom.target
-    n, mt = G.dim, T.dim
-    M = T.exponent
-    if mt == 0 or M == 1:
-        return SubgroupGens(G, standard_gens(G))
-    aug = [
-        list(hom.matrix[i]) + [T.moduli[i] if j == i else 0 for j in range(mt)]
-        for i in range(mt)
+    cols = [
+        [row[j] for row in hom.matrix] + [int(i == j) for i in range(G.dim)]
+        for j in range(G.dim)
     ]
-    D, V = _diagonalize_mod(aug, M)
-    gens = []
-    for j in range(n + mt):
-        # column j of V spans kernel directions once scaled by the annihilator
-        # of the corresponding diagonal entry (columns past the diagonal are
-        # free and enter unscaled)
-        mult = M // math.gcd(D[j][j] % M, M) if j < mt else 1
-        g = G.reduce([V[i][j] * mult for i in range(n)])
-        if any(g):
-            gens.append(g)
-    return SubgroupGens(G, tuple(dict.fromkeys(gens)))
-
-
-def subgroup_intersect(h1: SubgroupGens, h2: SubgroupGens) -> SubgroupGens:
-    """Generators of the intersection of two subgroups of the same group."""
-    if h1.group != h2.group:
-        raise ValueError("subgroups live in different groups")
-    G = h1.group
-    n1 = len(h1.gens)
-    L = G.exponent
-    src = FiniteAbelianGroup((L,) * (n1 + len(h2.gens)))
-    cols = list(h1.gens) + [G.neg(g) for g in h2.gens]
-    mat = tuple(tuple(c[i] for c in cols) for i in range(G.dim))
-    ker = kernel_of_hom(Homomorphism(src, G, mat))
-    gens = []
-    for lam in ker.gens:
-        g = G.zero()
-        for c, h in zip(lam[:n1], h1.gens):
-            g = G.add(g, G.scale(c, h))
-        if any(g):
-            gens.append(g)
-    return SubgroupGens(G, tuple(dict.fromkeys(gens)))
+    _, rest = _echelon(cols, T.moduli + G.moduli, T.dim)
+    gens = (tuple(c[T.dim:]) for c in rest)
+    return SubgroupGens(G, tuple(dict.fromkeys(g for g in gens if any(g))))
 
 
 def subgroup_enumerate(sub: SubgroupGens, cap: Optional[int] = 100000):
@@ -618,21 +582,27 @@ class QuotientMap:
 
     group: FiniteAbelianGroup
     proj: Homomorphism
-    kernel_elements: Tuple[GroupElement, ...]
+    kernel_basis: Tuple[Tuple[int, int, GroupElement], ...]  # pivots of `_echelon`
 
     def lift(self, q: Sequence[int]) -> GroupElement:
         G = self.proj.source
         q = self.group.reduce(q)
         if G.dim == 0 or self.group.dim == 0:
-            base = G.zero()
+            x = list(G.zero())
         else:
             x0 = solve_linear_congruence(
                 [list(r) for r in self.proj.matrix], list(q), list(self.group.moduli)
             )
             if x0 is None:  # proj is surjective, so this cannot happen
                 raise ValueError("element is not in the quotient's image")
-            base = G.reduce(x0)
-        return min(G.add(base, k) for k in self.kernel_elements)
+            x = list(G.reduce(x0))
+        # the smallest first coordinate reachable within the coset is x[i] mod
+        # d, then the same for the next coordinate over what is left of K
+        for i, d, col in self.kernel_basis:
+            c = x[i] // d
+            if c:
+                x = [(v - c * w) % m for v, w, m in zip(x, col, G.moduli)]
+        return tuple(x)
 
 
 def quotient_group(G: FiniteAbelianGroup, kernel: SubgroupGens) -> QuotientMap:
@@ -640,9 +610,6 @@ def quotient_group(G: FiniteAbelianGroup, kernel: SubgroupGens) -> QuotientMap:
     if kernel.group != G:
         raise ValueError("kernel lives in a different group")
     k = G.dim
-    if k == 0:
-        Q = FiniteAbelianGroup(())
-        return QuotientMap(Q, Homomorphism(G, Q, ()), ((),))
     cols = list(kernel.gens)
     aug = [
         [c[i] for c in cols] + [G.moduli[i] if j == i else 0 for j in range(k)]
@@ -657,31 +624,8 @@ def quotient_group(G: FiniteAbelianGroup, kernel: SubgroupGens) -> QuotientMap:
         tuple(U[i][j] % qmod[r] for j in range(k)) for r, i in enumerate(kept)
     )
     proj = Homomorphism(G, Q, pmat)
-    elems = subgroup_enumerate(kernel, cap=None)
-    return QuotientMap(Q, proj, tuple(elems))
-
-
-def _unimodular_inverse(M: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(M)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(M)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    inv = []
-    for row in aug:
-        assert all(v.denominator == 1 for v in row[n:]), "matrix is not unimodular"
-        inv.append([int(v) for v in row[n:]])
-    return inv
+    pivots, _ = _echelon(kernel.gens, G.moduli, k)
+    return QuotientMap(Q, proj, tuple(pivots))
 
 
 def subgroup_abstract(sub: SubgroupGens):
@@ -689,38 +633,20 @@ def subgroup_abstract(sub: SubgroupGens):
 
     Returns (A, emb) where A is a finite abelian group with canonical moduli
     and emb: A -> ambient is an injective hom whose image is the subgroup.
+    A is the quotient of Z_L^n by the relations of the n generators, and
+    column r of emb is the image of the lift of A's r-th standard generator.
     """
     G = sub.group
     # redundant generators only inflate the relation matrix; drop them first
     gens = subgroup_reduce_gens(sub).gens
-    n = len(gens)
-    if n == 0:
-        A = FiniteAbelianGroup(())
-        return A, Homomorphism(A, G, tuple(() for _ in range(G.dim)))
-    L = G.exponent
-    src = FiniteAbelianGroup((L,) * n)
-    mat = tuple(tuple(g[i] for g in gens) for i in range(G.dim))
-    rel = list(kernel_of_hom(Homomorphism(src, G, mat)).gens)
-    # the full relation lattice includes the ambient exponent on every slot
-    cols = [list(r) for r in rel] + [
-        [L if i == j else 0 for i in range(n)] for j in range(n)
-    ]
-    relmat = [[col[i] for col in cols] for i in range(n)]
-    U, D, V = smith_normal_form(relmat)
-    assert all(D[i][i] >= 1 for i in range(n)), "relation lattice must be full rank"
-    kept = [i for i in range(n) if D[i][i] >= 2]
-    Uinv = _unimodular_inverse(U)
-    emb_cols = []
-    for i in kept:
-        img = G.zero()
-        for r in range(n):
-            img = G.add(img, G.scale(Uinv[r][i], gens[r]))
-        emb_cols.append(img)
-    A = FiniteAbelianGroup(tuple(D[i][i] for i in kept))
+    src = FiniteAbelianGroup((G.exponent,) * len(gens))
+    hom = Homomorphism(src, G, tuple(tuple(g[i] for g in gens) for i in range(G.dim)))
+    qm = quotient_group(src, kernel_of_hom(hom))
+    emb_cols = [hom.apply(qm.lift(e)) for e in standard_gens(qm.group)]
     emb = Homomorphism(
-        A, G, tuple(tuple(col[r] for col in emb_cols) for r in range(G.dim))
+        qm.group, G, tuple(tuple(col[r] for col in emb_cols) for r in range(G.dim))
     )
-    return A, emb
+    return qm.group, emb
 
 
 def hom_preimage(hom: Homomorphism, y: Sequence[int]) -> Optional[GroupElement]:

@@ -4,6 +4,7 @@ Everything here is deliberately naive: these are the independent
 implementations that the fast library code is checked against.
 """
 
+import math
 import re
 from fractions import Fraction
 from itertools import combinations, product
@@ -17,7 +18,17 @@ from cosetint.formats import (
     parse_element,
     parse_group,
 )
-from cosetint.groups import FiniteAbelianGroup, SubgroupGens, kernel_of_hom, quotient_group
+from cosetint.groups import (
+    FiniteAbelianGroup,
+    Homomorphism,
+    SubgroupGens,
+    kernel_of_hom,
+    quotient_group,
+    smith_normal_form,
+    solve_linear_congruence,
+    standard_gens,
+    subgroup_reduce_gens,
+)
 from cosetint.model import ProblemInstance
 
 # the replay benchmark's targets: the five compile showcase targets, plus
@@ -456,3 +467,176 @@ def reference_parse_instance(text):
         return ProblemInstance(G, t, xstar, tuple(hgens))
     except ValueError as e:
         raise ParseError(str(e)) from e
+
+
+# --- kernels, quotients and presentations by diagonalization and enumeration --
+#
+# The elimination routines these replaced: a kernel read off the column
+# transform of a diagonalization mod the exponent, a lift that takes the
+# minimum over every element of the kernel, and a presentation that inverts
+# the row transform of a Smith normal form.
+
+
+def _reference_diagonalize_mod(mat, M):
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    half = M // 2
+    A = [[v - M if (v := int(x) % M) > half else v for x in row] for row in mat]
+    VT = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_add(dst, src, c):
+        A[dst] = [v - M if (v := (a + c * b) % M) > half else v for a, b in zip(A[dst], A[src])]
+
+    def col_add(dst, src, c):
+        for row in A:
+            v = (row[dst] + c * row[src]) % M
+            row[dst] = v - M if v > half else v
+        VT[dst] = [v - M if (v := (a + c * b) % M) > half else v
+                   for a, b in zip(VT[dst], VT[src])]
+
+    for k in range(min(m, n)):
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                v = A[i][j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != k:
+            A[k], A[pi] = A[pi], A[k]
+        if pj != k:
+            for row in A:
+                row[k], row[pj] = row[pj], row[k]
+            VT[k], VT[pj] = VT[pj], VT[k]
+        if A[k][k] < 0:
+            A[k] = [-a for a in A[k]]
+        while True:
+            for i in range(k + 1, m):
+                while A[i][k]:
+                    row_add(i, k, -(A[i][k] // A[k][k]))
+                    if A[i][k]:
+                        A[i], A[k] = A[k], A[i]
+            for j in range(k + 1, n):
+                while A[k][j]:
+                    col_add(j, k, -(A[k][j] // A[k][k]))
+                    if A[k][j]:
+                        for row in A:
+                            row[k], row[j] = row[j], row[k]
+                        VT[k], VT[j] = VT[j], VT[k]
+            if not any(A[i][k] for i in range(k + 1, m)):
+                break
+    V = [[VT[j][i] for j in range(n)] for i in range(n)]
+    return A, V
+
+
+def reference_kernel_of_hom(hom):
+    G, T = hom.source, hom.target
+    n, mt = G.dim, T.dim
+    M = T.exponent
+    if mt == 0 or M == 1:
+        return SubgroupGens(G, standard_gens(G))
+    aug = [
+        list(hom.matrix[i]) + [T.moduli[i] if j == i else 0 for j in range(mt)]
+        for i in range(mt)
+    ]
+    D, V = _reference_diagonalize_mod(aug, M)
+    gens = []
+    for j in range(n + mt):
+        mult = M // math.gcd(D[j][j] % M, M) if j < mt else 1
+        g = G.reduce([V[i][j] * mult for i in range(n)])
+        if any(g):
+            gens.append(g)
+    return SubgroupGens(G, tuple(dict.fromkeys(gens)))
+
+
+class ReferenceQuotientMap:
+    def __init__(self, group, proj, kernel_elements):
+        self.group, self.proj, self.kernel_elements = group, proj, kernel_elements
+
+    def lift(self, q):
+        G = self.proj.source
+        q = self.group.reduce(q)
+        if G.dim == 0 or self.group.dim == 0:
+            base = G.zero()
+        else:
+            x0 = solve_linear_congruence(
+                [list(r) for r in self.proj.matrix], list(q), list(self.group.moduli)
+            )
+            base = G.reduce(x0)
+        return min(G.add(base, k) for k in self.kernel_elements)
+
+
+def reference_quotient_group(G, kernel):
+    k = G.dim
+    if k == 0:
+        Q = FiniteAbelianGroup(())
+        return ReferenceQuotientMap(Q, Homomorphism(G, Q, ()), ((),))
+    cols = list(kernel.gens)
+    aug = [
+        [c[i] for c in cols] + [G.moduli[i] if j == i else 0 for j in range(k)]
+        for i in range(k)
+    ]
+    U, D, V = smith_normal_form(aug)
+    kept = [i for i in range(k) if D[i][i] >= 2]
+    qmod = tuple(D[i][i] for i in kept)
+    Q = FiniteAbelianGroup(qmod)
+    pmat = tuple(
+        tuple(U[i][j] % qmod[r] for j in range(k)) for r, i in enumerate(kept)
+    )
+    elems = sorted(span_bruteforce(G, kernel.gens))
+    return ReferenceQuotientMap(Q, Homomorphism(G, Q, pmat), tuple(elems))
+
+
+def _reference_unimodular_inverse(M):
+    n = len(M)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(M)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    inv = []
+    for row in aug:
+        assert all(v.denominator == 1 for v in row[n:]), "matrix is not unimodular"
+        inv.append([int(v) for v in row[n:]])
+    return inv
+
+
+def reference_subgroup_abstract(sub):
+    G = sub.group
+    gens = subgroup_reduce_gens(sub).gens
+    n = len(gens)
+    if n == 0:
+        A = FiniteAbelianGroup(())
+        return A, Homomorphism(A, G, tuple(() for _ in range(G.dim)))
+    L = G.exponent
+    src = FiniteAbelianGroup((L,) * n)
+    mat = tuple(tuple(g[i] for g in gens) for i in range(G.dim))
+    rel = list(reference_kernel_of_hom(Homomorphism(src, G, mat)).gens)
+    cols = [list(r) for r in rel] + [
+        [L if i == j else 0 for i in range(n)] for j in range(n)
+    ]
+    relmat = [[col[i] for col in cols] for i in range(n)]
+    U, D, V = smith_normal_form(relmat)
+    kept = [i for i in range(n) if D[i][i] >= 2]
+    Uinv = _reference_unimodular_inverse(U)
+    emb_cols = []
+    for i in kept:
+        img = G.zero()
+        for r in range(n):
+            img = G.add(img, G.scale(Uinv[r][i], gens[r]))
+        emb_cols.append(img)
+    A = FiniteAbelianGroup(tuple(D[i][i] for i in kept))
+    emb = Homomorphism(
+        A, G, tuple(tuple(col[r] for col in emb_cols) for r in range(G.dim))
+    )
+    return A, emb

@@ -180,12 +180,18 @@ class TestInstanceFormat:
         ("(a)", "bad tuple '(a)': expected (a,b,...)"),
     ])
     def test_bad_element_token_names_its_line(self, token, msg):
-        with pytest.raises(ParseError) as err:
-            parse_instance(f"group: 4\nt: 2\nxstar: (0) (0)\ngen: (1) {token}\ngen: {token} (1)\n")
-        assert str(err.value) == f"line 4: {msg}"
-        with pytest.raises(ParseError) as err:
-            parse_instance(f"group: 4\nt: 2\n\nxstar: (0) {token}\n")
-        assert str(err.value) == f"line 4: {msg}"
+        Z4 = FiniteAbelianGroup((4,))
+        head = "variant: P\ngroup: 4\nsubset: {0,1}\n"
+        for parse, text in [
+            (parse_instance, f"group: 4\nt: 2\nxstar: (0) (0)\ngen: (1) {token}\ngen: {token} (1)\n"),
+            (parse_instance, f"group: 4\nt: 2\n\nxstar: (0) {token}\n"),
+            (lambda text: parse_subset(Z4, text), f"(1)\n\n# a comment\n{token}\n(2)\n"),
+            (parse_pipeline, head + f"step: translate group=4 g={token}\n"),
+            (parse_pipeline, head + f"step: double group=4 rows=(1) g={token}\n"),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == f"line 4: {msg}"
 
 
 def corrupt(rng, text):

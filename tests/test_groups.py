@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetint.formats import MAX_ORDER
 from cosetint.groups import (
     FiniteAbelianGroup,
     Homomorphism,
@@ -18,11 +19,21 @@ from cosetint.groups import (
     standard_gens,
     subgroup_abstract,
     subgroup_enumerate,
-    subgroup_intersect,
     subgroup_membership,
     subgroup_reduce_gens,
 )
-from helpers import int_det, mat_mul, random_element, random_subgroup, small_groups, span_bruteforce
+from helpers import (
+    all_subgroups,
+    int_det,
+    mat_mul,
+    random_element,
+    random_subgroup,
+    reference_kernel_of_hom,
+    reference_quotient_group,
+    reference_subgroup_abstract,
+    small_groups,
+    span_bruteforce,
+)
 
 
 def snf_invariants(M):
@@ -362,23 +373,6 @@ class TestSubgroups:
         assert red.gens == ((1, 0), (0, 1))
         assert span_bruteforce(G, red.gens) == span_bruteforce(G, H.gens)
 
-    def test_intersect_cyclic(self):
-        G = FiniteAbelianGroup((4,))
-        a = SubgroupGens(G, ((1,),))
-        b = SubgroupGens(G, ((2,),))
-        got = subgroup_intersect(a, b)
-        assert span_bruteforce(G, got.gens) == {(0,), (2,)}
-
-    def test_intersect_random(self):
-        rng = random.Random(3)
-        for G in small_groups(16):
-            for _ in range(4):
-                h1 = random_subgroup(rng, G)
-                h2 = random_subgroup(rng, G)
-                got = span_bruteforce(G, subgroup_intersect(h1, h2).gens)
-                want = span_bruteforce(G, h1.gens) & span_bruteforce(G, h2.gens)
-                assert got == want
-
     def test_kernel_random(self):
         rng = random.Random(4)
         groups = small_groups(9)
@@ -466,6 +460,105 @@ class TestAbstract:
         A, emb = subgroup_abstract(SubgroupGens(G, ()))
         assert A.moduli == ()
         assert emb.apply(()) == (0,)
+
+
+def _subgroups_and_samples():
+    """(G, K): every subgroup of every group of order <= 16, generated by all
+    of its elements and by a greedy minimal subset of them, then seeded
+    random generator sets in four larger groups with mixed moduli."""
+    out = []
+    for G in small_groups(16):
+        for H in sorted(all_subgroups(G), key=sorted):
+            K = SubgroupGens(G, tuple(sorted(H)))
+            out += [(G, K), (G, subgroup_reduce_gens(K))]
+    rng = random.Random(21)
+    for moduli in ((12, 12), (2, 6, 24), (6, 60), (3, 9, 27)):
+        G = FiniteAbelianGroup(moduli)
+        out += [(G, random_subgroup(rng, G, max_gens=4)) for _ in range(25)]
+    return out
+
+
+SAMPLES = _subgroups_and_samples()
+
+
+class TestEchelonMatchesReference:
+    """Quotients, kernels and presentations against the diagonalization,
+    kernel-enumeration and unimodular-inverse versions in helpers."""
+
+    def test_quotient_moduli_projection_and_every_lift(self):
+        for G, K in SAMPLES:
+            qm, ref = quotient_group(G, K), reference_quotient_group(G, K)
+            assert qm.group == ref.group
+            assert qm.proj.matrix == ref.proj.matrix
+            for q in qm.group.elements():
+                assert qm.lift(q) == ref.lift(q), (G, K, q)
+
+    def test_kernel_spans(self):
+        rng = random.Random(22)
+        targets = small_groups(12) + [FiniteAbelianGroup(m) for m in ((12, 12), (2, 6, 24))]
+        n = 0
+        for G, _ in SAMPLES[::3]:
+            T = rng.choice(targets)
+            # entry (i, j) is a multiple of e_i / gcd(e_i, d_j), so d_j maps to 0
+            hom = Homomorphism(G, T, tuple(
+                tuple(rng.randrange(e) * (e // math.gcd(e, d)) % e for d in G.moduli)
+                for e in T.moduli
+            ))
+            got = span_bruteforce(G, kernel_of_hom(hom).gens)
+            assert got == span_bruteforce(G, reference_kernel_of_hom(hom).gens)
+            n += len(got) < G.order
+        assert n > 50  # most samples have a proper kernel
+
+    def test_abstract_moduli_and_embedding(self):
+        for G, H in SAMPLES:
+            A, emb = subgroup_abstract(H)
+            assert A.moduli == reference_subgroup_abstract(H)[0].moduli
+            image = {emb.apply(x) for x in A.elements()}
+            assert len(image) == A.order  # injective
+            assert image == span_bruteforce(G, H.gens)
+
+
+class TestQuotientAtMaxOrder:
+    """Quotients and lifts of groups of order MAX_ORDER never list the kernel."""
+
+    @pytest.fixture(autouse=True)
+    def _no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("subgroup_enumerate called")
+
+        monkeypatch.setattr("cosetint.groups.subgroup_enumerate", refuse)
+
+    def check_lifts(self, G, K, samples):
+        qm = quotient_group(G, K)
+        for x in samples:
+            y = qm.lift(qm.proj.apply(x))
+            assert y <= x  # the smallest element of its coset
+            assert subgroup_membership(K, G.sub(x, y)) is not None
+            assert qm.lift(qm.proj.apply(y)) == y
+        return qm
+
+    def test_elementary_abelian_kernel(self):
+        G = FiniteAbelianGroup((2,) * 18 + (4,))
+        assert G.order == MAX_ORDER
+        gens = [tuple(int(j in (i, i + 1)) for j in range(19)) for i in range(16)]
+        gens.append((0,) * 17 + (1, 2))
+        K = SubgroupGens(G, tuple(gens))
+        rng = random.Random(23)
+        qm = self.check_lifts(G, K, [random_element(rng, G) for _ in range(50)])
+        assert qm.group.order * 2**17 == G.order
+        # K meets coordinates 0..15 and 17 in all of Z_2 and nothing else, so
+        # the lifts are the elements that vanish there
+        lifts = sorted(qm.lift(q) for q in qm.group.elements())
+        assert lifts == [(0,) * 16 + (a, 0, b) for a in range(2) for b in range(4)]
+
+    def test_doubled_lattice(self):
+        G = FiniteAbelianGroup((1024, 1024))
+        assert G.order == MAX_ORDER
+        K = SubgroupGens(G, ((2, 0), (0, 2)))
+        rng = random.Random(24)
+        qm = self.check_lifts(G, K, [random_element(rng, G) for _ in range(50)])
+        assert qm.group.moduli == (2, 2)
+        assert sorted(qm.lift(q) for q in qm.group.elements()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestStandardGens:

@@ -1,14 +1,20 @@
+import importlib
 import importlib.util
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_script(name):
+    return load_module(name, SCRIPTS / f"{name}.py")
 
 
 def test_compile_showcase_runs_clean():
@@ -20,3 +26,15 @@ def test_format_fuzzer_runs_clean():
     # round-trips groups of up to 3 factors with moduli up to 9, which the
     # small_groups(8) tests do not reach
     assert load_script("fuzz_formats").main(["--seed", "0", "--rounds", "200"]) == 0
+
+
+def test_every_benchmark_traced_name_resolves():
+    # the benchmark's tracer wraps cosetint functions by name; a renamed or
+    # deleted one would otherwise fail only its traced runs and its own tests
+    spans = load_module("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    for mod_name, attr, _, _ in spans.LAYERS:
+        owner = importlib.import_module("cosetint." + mod_name)
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(name)), f"cosetint.{mod_name}.{attr}"
