@@ -10,15 +10,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .groups import (
-    FiniteAbelianGroup,
-    SubgroupGens,
-    scaling_hom,
-    subgroup_enumerate,
-)
+from .groups import FiniteAbelianGroup
 from .model import (
     DEFAULT_BUDGET,
     ProblemInstance,
@@ -26,41 +20,17 @@ from .model import (
     oracle_solve,
     verify_certificate,
 )
-from .classify import (
-    IN_P,
-    classify_affine,
-    classify_homogeneous,
-    dilation_core,
-    is_coset,
-)
+from .classify import IN_P, classify_affine, classify_homogeneous, dilation_core
 from .polysolve import solve_affine_coset, solve_homogeneous_core
-from .transforms import (
-    Graph,
-    phi_fixed_subset,
-    transform_double,
-    translate_instance,
-)
+from .transforms import Graph
 from .hardness import (
     CompileError,
     apply_pipeline,
     apply_steps_to_instance,
     compile_hardness,
-    run_selfcheck,
-    verify_trace,
 )
 from . import formats
 from .formats import ParseError
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    paths: Mapping[str, str] = field(default_factory=dict)
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    selfcheck: bool = True
-    pi: bool = False
-    extras: Mapping[str, object] = field(default_factory=dict)
 
 
 class ContractError(Exception):
@@ -97,17 +67,17 @@ def _load_instance(path: str) -> ProblemInstance:
 # --- subcommands ---------------------------------------------------------------
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    G = formats.parse_group(cfg.paths["group"])
-    S = _load_subset(G, cfg.paths["subset"])
-    cls = classify_homogeneous(G, S) if cfg.pi else classify_affine(G, S)
+def _cmd_classify(ns: argparse.Namespace) -> int:
+    G = formats.parse_group(ns.group)
+    S = _load_subset(G, ns.subset)
+    cls = classify_homogeneous(G, S) if ns.pi else classify_affine(G, S)
     print(cls.describe())
     return 0
 
 
-def _cmd_theta(cfg: RunConfig) -> int:
-    G = formats.parse_group(cfg.paths["group"])
-    S = _load_subset(G, cfg.paths["subset"])
+def _cmd_theta(ns: argparse.Namespace) -> int:
+    G = formats.parse_group(ns.group)
+    S = _load_subset(G, ns.subset)
     print(formats.format_subset(dilation_core(S)))
     return 0
 
@@ -124,10 +94,10 @@ def _print_result(res) -> int:
     return 3
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    inst = _load_instance(cfg.paths["instance"])
-    S = _load_subset(inst.group, cfg.paths["subset"])
-    if cfg.pi:
+def _cmd_solve(ns: argparse.Namespace) -> int:
+    inst = _load_instance(ns.instance)
+    S = _load_subset(inst.group, ns.subset)
+    if ns.pi:
         if not inst.is_homogeneous():
             raise ContractError("the homogeneous variant needs xstar = 0")
         cls = classify_homogeneous(inst.group, S)
@@ -137,19 +107,19 @@ def _cmd_solve(cfg: RunConfig) -> int:
         cls = classify_affine(inst.group, S)
         if cls.verdict == IN_P:
             return _print_result(solve_affine_coset(inst, S))
-    return _print_result(oracle_solve(inst, S, budget=cfg.budget))
+    return _print_result(oracle_solve(inst, S, budget=ns.budget))
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    inst = _load_instance(cfg.paths["instance"])
-    S = _load_subset(inst.group, cfg.paths["subset"])
-    return _print_result(oracle_solve(inst, S, budget=cfg.budget))
+def _cmd_oracle(ns: argparse.Namespace) -> int:
+    inst = _load_instance(ns.instance)
+    S = _load_subset(inst.group, ns.subset)
+    return _print_result(oracle_solve(inst, S, budget=ns.budget))
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    inst = _load_instance(cfg.paths["instance"])
-    S = _load_subset(inst.group, cfg.paths["subset"])
-    cert = formats.parse_int_line(_read(cfg.paths["cert"]))
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    inst = _load_instance(ns.instance)
+    S = _load_subset(inst.group, ns.subset)
+    cert = formats.parse_int_line(_read(ns.cert))
     if len(cert) != len(inst.hgens):
         print("certificate rejected")
         return 1
@@ -160,230 +130,83 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 1
 
 
-def _cmd_compile(cfg: RunConfig) -> int:
-    G = formats.parse_group(cfg.paths["group"])
-    S = _load_subset(G, cfg.paths["subset"])
-    variant = "Pi" if cfg.pi else "P"
-    pipe = compile_hardness(G, S, variant, selfcheck=cfg.selfcheck)
-    _write(cfg.paths["out"], formats.format_pipeline(pipe))
-    checked = "self-checked" if cfg.selfcheck else "unchecked"
+def _cmd_compile(ns: argparse.Namespace) -> int:
+    G = formats.parse_group(ns.group)
+    S = _load_subset(G, ns.subset)
+    pipe = compile_hardness(G, S, "Pi" if ns.pi else "P", selfcheck=not ns.no_selfcheck)
+    _write(ns.out, formats.format_pipeline(pipe))
+    checked = "unchecked" if ns.no_selfcheck else "self-checked"
     print(f"wrote {len(pipe.steps)}-step pipeline ({checked})")
     return 0
 
 
-def _cmd_apply(cfg: RunConfig) -> int:
-    pipe = formats.parse_pipeline(_read(cfg.paths["pipeline"]))
-    graph = formats.parse_graph(_read(cfg.paths["graph"]))
-    coloring = None
-    if "coloring" in cfg.paths:
-        coloring = formats.parse_int_line(_read(cfg.paths["coloring"]))
-    inst, cert = apply_pipeline(pipe, graph, coloring=coloring)
-    _write(cfg.paths["out"], formats.format_instance(inst))
+def _write_replayed(ns: argparse.Namespace, inst: ProblemInstance, cert) -> int:
+    """The instance to --out; the threaded certificate, if any, to
+    --cert-out or as a cert: line."""
+    _write(ns.out, formats.format_instance(inst))
     if cert is not None:
         line = formats.format_int_line(cert)
-        if "cert_out" in cfg.paths:
-            _write(cfg.paths["cert_out"], line)
+        if ns.cert_out is not None:
+            _write(ns.cert_out, line)
         else:
             print(("cert: " + line.strip()).rstrip())
     print(f"wrote instance (t={inst.t}, {len(inst.hgens)} generators)")
     return 0
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
-    pipe = formats.parse_pipeline(_read(cfg.paths["pipeline"]))
-    inst = _load_instance(cfg.paths["instance"])
+def _cmd_apply(ns: argparse.Namespace) -> int:
+    pipe = formats.parse_pipeline(_read(ns.pipeline))
+    graph = formats.parse_graph(_read(ns.graph))
+    coloring = None
+    if ns.coloring is not None:
+        coloring = formats.parse_int_line(_read(ns.coloring))
+    return _write_replayed(ns, *apply_pipeline(pipe, graph, coloring=coloring))
+
+
+def _cmd_reduce(ns: argparse.Namespace) -> int:
+    pipe = formats.parse_pipeline(_read(ns.pipeline))
+    inst = _load_instance(ns.instance)
     cert = None
-    if "cert" in cfg.paths:
-        cert = formats.parse_int_line(_read(cfg.paths["cert"]))
-    out, cert_out = apply_steps_to_instance(pipe.steps, inst, cert)
-    _write(cfg.paths["out"], formats.format_instance(out))
-    if cert_out is not None:
-        line = formats.format_int_line(cert_out)
-        if "cert_out" in cfg.paths:
-            _write(cfg.paths["cert_out"], line)
-        else:
-            print(("cert: " + line.strip()).rstrip())
-    print(f"wrote instance (t={out.t}, {len(out.hgens)} generators)")
-    return 0
+    if ns.cert is not None:
+        cert = formats.parse_int_line(_read(ns.cert))
+    return _write_replayed(ns, *apply_steps_to_instance(pipe.steps, inst, cert))
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    rng = random.Random(cfg.seed)
-    kind = cfg.extras["kind"]
-    header = [f"seed: {cfg.seed}", f"kind: {kind}"]
-    if kind == "graph":
-        n = cfg.extras["n"]
-        p = cfg.extras["p"]
+def _cmd_gen(ns: argparse.Namespace) -> int:
+    if ns.kind != "graph" and ns.group is None:
+        raise ContractError("gen needs --group for this kind")
+    if ns.kind == "graph" and not ns.n:
+        raise ContractError("gen --kind graph needs --n")
+    rng = random.Random(ns.seed)
+    header = [f"seed: {ns.seed}", f"kind: {ns.kind}"]
+    if ns.kind == "graph":
+        n = ns.n
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-                 if rng.random() < p]
+                 if rng.random() < ns.p]
         text = formats.format_graph(Graph.of(n, edges), header=header)
+    elif ns.kind == "subset":
+        G = formats.parse_group(ns.group)
+        chosen = [e for e in G.elements() if rng.random() < 0.5]
+        text = "\n".join(f"# {h}" for h in header) + "\n"
+        text += formats.format_subset(SubsetS.of(G, chosen)) + "\n"
     else:
-        G = formats.parse_group(cfg.paths["group"])
-        elems = tuple(G.elements())
-        if kind == "subset":
-            chosen = [e for e in elems if rng.random() < 0.5]
-            text = "\n".join(f"# {h}" for h in header) + "\n"
-            text += formats.format_subset(SubsetS.of(G, chosen)) + "\n"
-        elif kind == "instance":
-            t = cfg.extras["t"] or rng.randint(1, 3)
-            ngens = cfg.extras["gens"] or rng.randint(1, 3)
-            xstar = tuple(rng.choice(elems) for _ in range(t))
-            hgens = tuple(
-                tuple(rng.choice(elems) for _ in range(t)) for _ in range(ngens)
-            )
-            text = formats.format_instance(
-                ProblemInstance(G, t, xstar, hgens), header=header
-            )
-        else:
-            raise ContractError(f"unknown kind {kind!r}")
-    if "out" in cfg.paths:
-        _write(cfg.paths["out"], text)
+        G = formats.parse_group(ns.group)
+
+        def draw():
+            # the same draw as rng.choice(tuple(G.elements())), without listing G
+            return G.element_at(rng.randrange(G.order))
+
+        t = ns.t or rng.randint(1, 3)
+        ngens = ns.gens or rng.randint(1, 3)
+        xstar = tuple(draw() for _ in range(t))
+        hgens = tuple(tuple(draw() for _ in range(t)) for _ in range(ngens))
+        text = formats.format_instance(
+            ProblemInstance(G, t, xstar, hgens), header=header
+        )
+    if ns.out is not None:
+        _write(ns.out, text)
     else:
         sys.stdout.write(text)
-    return 0
-
-
-# --- selftest ------------------------------------------------------------------
-
-
-def _brute_is_coset(G: FiniteAbelianGroup, S: SubsetS):
-    """Independent coset test: try every subset of G that is a subgroup."""
-    if not S.elements:
-        return False
-    elems = tuple(G.elements())
-    base = min(S.elements)
-    want = frozenset(G.sub(x, base) for x in S.elements)
-    if G.zero() not in want:
-        return False
-    return all(G.sub(x, y) in want for x in want for y in want)
-
-
-def _selftest() -> int:
-    failures = []
-
-    def check(name, ok):
-        print(f"selftest: {name}: {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(name)
-
-    # coset detection vs brute force, exhaustively on two small groups
-    ok = True
-    for G in (FiniteAbelianGroup((4,)), FiniteAbelianGroup((2, 2))):
-        elems = tuple(G.elements())
-        for bits in range(2 ** len(elems)):
-            S = SubsetS.of(G, [e for i, e in enumerate(elems) if bits >> i & 1])
-            if (is_coset(S) is not None) != _brute_is_coset(G, S):
-                ok = False
-    check("coset-detection", ok)
-
-    # dilation core laws on a handful of groups
-    ok = True
-    for mods in ((4,), (5,), (2, 2)):
-        G = FiniteAbelianGroup(mods)
-        elems = tuple(G.elements())
-        for bits in range(2 ** len(elems)):
-            S = SubsetS.of(G, [e for i, e in enumerate(elems) if bits >> i & 1])
-            core = dilation_core(S)
-            if not core.elements <= S.elements:
-                ok = False
-            if dilation_core(core).elements != core.elements:
-                ok = False
-    check("dilation-core-laws", ok)
-
-    # polynomial solver vs oracle on seeded random coset targets
-    rng = random.Random(20260815)
-    ok = True
-    for _ in range(40):
-        G = FiniteAbelianGroup(rng.choice(((4,), (6,), (2, 2))))
-        elems = tuple(G.elements())
-        base = rng.choice(elems)
-        d = rng.choice(elems)
-        sub = SubgroupGens(G, (d,))
-        S = SubsetS.of(G, [G.add(base, h) for h in subgroup_enumerate(sub)])
-        t = rng.randint(1, 3)
-        xstar = tuple(rng.choice(elems) for _ in range(t))
-        hgens = tuple(
-            tuple(rng.choice(elems) for _ in range(t))
-            for _ in range(rng.randint(1, 3))
-        )
-        inst = ProblemInstance(G, t, xstar, hgens)
-        fast = solve_affine_coset(inst, S)
-        slow = oracle_solve(inst, S)
-        if fast.kind != slow.kind:
-            ok = False
-        if fast.kind == "yes" and not verify_certificate(inst, S, fast.certificate):
-            ok = False
-    check("poly-vs-oracle", ok)
-
-    # transformers preserve the oracle answer
-    ok = True
-    for _ in range(20):
-        G = FiniteAbelianGroup(rng.choice(((4,), (5,))))
-        elems = tuple(G.elements())
-        S = SubsetS.of(G, [e for e in elems if rng.random() < 0.5])
-        t = rng.randint(1, 2)
-        inst = ProblemInstance(
-            G, t,
-            tuple(rng.choice(elems) for _ in range(t)),
-            tuple(tuple(rng.choice(elems) for _ in range(t))
-                  for _ in range(rng.randint(1, 2))),
-        )
-        before = oracle_solve(inst, S).kind
-        g = rng.choice(elems)
-        moved = translate_instance(inst, g)
-        if oracle_solve(moved, S.translate(g)).kind != before:
-            ok = False
-        doubled = transform_double(inst, scaling_hom(G, -1), g)
-        S_phi = phi_fixed_subset(S, scaling_hom(G, -1), g)
-        if oracle_solve(inst, S_phi).kind != oracle_solve(doubled, S).kind:
-            ok = False
-    check("transformer-soundness", ok)
-
-    # the compiler end to end on its reference targets
-    ok = True
-    targets = [
-        ("P", (4,), ((0,), (1,))),
-        ("P", (4,), ((0,), (1,), (2,))),
-        ("P", (2, 2), ((0, 1), (1, 0), (1, 1))),
-        ("Pi", (5,), ((1,), (2,), (4,))),
-        ("Pi", (6,), ((1,), (2,), (4,))),
-    ]
-    for variant, mods, elems in targets:
-        G = FiniteAbelianGroup(mods)
-        S = SubsetS.of(G, elems)
-        try:
-            pipe = compile_hardness(G, S, variant, selfcheck=True)
-            verify_trace(pipe)
-            back = formats.parse_pipeline(formats.format_pipeline(pipe))
-            if back != pipe:
-                ok = False
-        except CompileError:
-            ok = False
-    check("hardness-compiler", ok)
-
-    # format round trips on seeded random values
-    ok = True
-    for _ in range(100):
-        G = FiniteAbelianGroup(rng.choice(((2,), (4,), (6,), (2, 2), (2, 4))))
-        elems = tuple(G.elements())
-        S = SubsetS.of(G, [e for e in elems if rng.random() < 0.5])
-        if formats.parse_subset(G, formats.format_subset(S)) != S:
-            ok = False
-        t = rng.randint(0, 3)
-        inst = ProblemInstance(
-            G, t,
-            tuple(rng.choice(elems) for _ in range(t)),
-            tuple(tuple(rng.choice(elems) for _ in range(t))
-                  for _ in range(rng.randint(0, 3))),
-        )
-        if formats.parse_instance(formats.format_instance(inst)) != inst:
-            ok = False
-    check("format-round-trips", ok)
-
-    if failures:
-        print(f"selftest failed: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    print("selftest: all ok")
     return 0
 
 
@@ -398,9 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        return p
+    add = sub.add_parser
 
     p = add("classify", help="classify a target as in-P or NP-complete")
     p.add_argument("--group", required=True)
@@ -455,37 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--out")
-
-    add("selftest", help="run the reduced-size property suite")
     return ap
-
-
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    paths = {}
-    for key in ("group", "subset", "instance", "pipeline", "graph", "cert",
-                "coloring", "out"):
-        v = getattr(ns, key, None)
-        if v is not None:
-            paths[key] = v
-    v = getattr(ns, "cert_out", None)
-    if v is not None:
-        paths["cert_out"] = v
-    budget = getattr(ns, "budget", DEFAULT_BUDGET)
-    if budget < 1:
-        raise ContractError("budget must be at least 1")
-    extras = {}
-    for key in ("kind", "t", "gens", "n", "p"):
-        if hasattr(ns, key):
-            extras[key] = getattr(ns, key)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        paths=paths,
-        budget=budget,
-        seed=getattr(ns, "seed", 0) or 0,
-        selfcheck=not getattr(ns, "no_selfcheck", False),
-        pi=getattr(ns, "pi", False),
-        extras=extras,
-    )
 
 
 _DISPATCH = {
@@ -508,15 +299,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        cfg = _to_config(ns)
-        if cfg.subcommand == "selftest":
-            return _selftest()
-        if cfg.subcommand == "gen":
-            if cfg.extras["kind"] != "graph" and "group" not in cfg.paths:
-                raise ContractError("gen needs --group for this kind")
-            if cfg.extras["kind"] == "graph" and not cfg.extras.get("n"):
-                raise ContractError("gen --kind graph needs --n")
-        return _DISPATCH[cfg.subcommand](cfg)
+        if getattr(ns, "budget", DEFAULT_BUDGET) < 1:
+            raise ContractError("budget must be at least 1")
+        return _DISPATCH[ns.subcommand](ns)
     except (ParseError, ContractError, CompileError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ from .hardness import (
     GadgetS01,
     KColFrom3Col,
     MapThrough,
-    PFromPi,
     PiFromP,
     ReductionPipeline,
     Step,
@@ -75,18 +74,19 @@ def format_group(G: FiniteAbelianGroup) -> str:
     return ",".join(str(d) for d in G.moduli)
 
 
-def parse_group(s: str) -> FiniteAbelianGroup:
+def parse_group(s: str, lineno: Optional[int] = None) -> FiniteAbelianGroup:
     s = s.strip()
     if s == "1":
         return FiniteAbelianGroup(())
     if not re.fullmatch(r"\d+(,\d+)*", s):
-        _fail(f"bad group {s!r}: expected comma-separated moduli like 4 or 2,4")
+        _fail(f"bad group {s!r}: expected comma-separated moduli like 4 or 2,4", lineno)
     moduli = tuple(int(d) for d in s.split(","))
     if any(d < 2 for d in moduli):
-        _fail(f"bad group {s!r}: moduli must be >= 2 (the trivial group is written 1)")
+        _fail(f"bad group {s!r}: moduli must be >= 2 (the trivial group is written 1)",
+              lineno)
     G = FiniteAbelianGroup(moduli)
     if G.order > MAX_ORDER:
-        _fail(f"group order {G.order} exceeds the supported bound {MAX_ORDER}")
+        _fail(f"group order {G.order} exceeds the supported bound {MAX_ORDER}", lineno)
     return G
 
 
@@ -120,12 +120,17 @@ def _format_tuple_list(items: Iterable[Tuple[int, ...]]) -> str:
     return ",".join(format_element(t) for t in items)
 
 
-def _parse_tuple_list(s: str) -> Tuple[Tuple[int, ...], ...]:
+def _parse_tuple_list(s: str, lineno: Optional[int] = None,
+                      G: Optional[FiniteAbelianGroup] = None) -> Tuple[Tuple[int, ...], ...]:
+    """Comma-separated tuples, checked as elements of G when G is given.
+    The list splits only between ')' and '(', so a malformed list names
+    its first bad tuple."""
     if not s:
         return ()
-    if not re.fullmatch(r"{0}(,{0})*".format(_TUPLE_RE.pattern), s):
-        _fail(f"bad tuple list {s!r}")
-    return tuple(_parse_int_tuple(m.group(0)) for m in _TUPLE_RE.finditer(s))
+    toks = re.split(r"(?<=\)),(?=\()", s)
+    if G is None:
+        return tuple(_parse_int_tuple(tok, lineno) for tok in toks)
+    return tuple(parse_element(G, tok, lineno) for tok in toks)
 
 
 # --- subsets -----------------------------------------------------------------
@@ -139,30 +144,28 @@ def format_subset(S: SubsetS) -> str:
     return "{" + ",".join(format_element(e) for e in elems) + "}"
 
 
-def _parse_subset_literal(G: FiniteAbelianGroup, s: str) -> SubsetS:
+def _parse_residue(G: FiniteAbelianGroup, part: str, lineno: Optional[int]) -> GroupElement:
+    """A bare residue as an element of the cyclic group G."""
+    if not re.fullmatch(r"\d+", part):
+        _fail(f"bad subset entry {part!r}", lineno)
+    if int(part) >= G.moduli[0]:
+        _fail(f"subset entry {part} out of range for group {format_group(G)}", lineno)
+    return (int(part),)
+
+
+def _parse_subset_literal(G: FiniteAbelianGroup, s: str,
+                          lineno: Optional[int] = None) -> SubsetS:
     if not (s.startswith("{") and s.endswith("}")):
-        _fail(f"bad subset literal {s!r}: expected {{...}}")
+        _fail(f"bad subset literal {s!r}: expected {{...}}", lineno)
     body = s[1:-1].strip()
     if not body:
         return SubsetS.of(G, [])
-    elems = []
-    if body.lstrip().startswith("("):
-        for t in _parse_tuple_list(body.replace(" ", "")):
-            if len(t) != G.dim or not G.contains(t):
-                _fail(f"subset element {t} out of range for group {format_group(G)}")
-            elems.append(t)
-    else:
-        if G.dim != 1:
-            _fail("bare residues in a subset literal need a cyclic group")
-        for part in body.split(","):
-            part = part.strip()
-            if not re.fullmatch(r"\d+", part):
-                _fail(f"bad subset entry {part!r}")
-            v = int(part)
-            if v >= G.moduli[0]:
-                _fail(f"subset entry {v} out of range for group {format_group(G)}")
-            elems.append((v,))
-    return SubsetS.of(G, elems)
+    if body.startswith("("):
+        return SubsetS.of(G, _parse_tuple_list(body.replace(" ", ""), lineno, G))
+    if G.dim != 1:
+        _fail("bare residues in a subset literal need a cyclic group", lineno)
+    return SubsetS.of(G, [_parse_residue(G, part.strip(), lineno)
+                          for part in body.split(",")])
 
 
 def parse_subset(G: FiniteAbelianGroup, text: str) -> SubsetS:
@@ -171,16 +174,13 @@ def parse_subset(G: FiniteAbelianGroup, text: str) -> SubsetS:
     if not lines:
         _fail("empty subset input")
     if len(lines) == 1 and lines[0][1].startswith("{"):
-        return _parse_subset_literal(G, lines[0][1])
+        return _parse_subset_literal(G, lines[0][1], lines[0][0])
     elems = []
     for lineno, line in lines:
         if line.startswith("("):
             elems.append(parse_element(G, line, lineno))
         elif re.fullmatch(r"\d+", line) and G.dim == 1:
-            v = int(line)
-            if v >= G.moduli[0]:
-                _fail(f"subset entry {v} out of range", lineno)
-            elems.append((v,))
+            elems.append(_parse_residue(G, line, lineno))
         else:
             _fail(f"bad subset line {line!r}", lineno)
     return SubsetS.of(G, elems)
@@ -227,7 +227,7 @@ def parse_instance(text: str) -> ProblemInstance:
     (l0, k0, v0), (l1, k1, v1), (l2, k2, v2) = fields[0], fields[1], fields[2]
     if k0 != "group":
         _fail("instance file must start with a group: line", l0)
-    G = parse_group(v0)
+    G = parse_group(v0, l0)
     if k1 != "t" or not re.fullmatch(r"\d+", v1):
         _fail("second line must be 't: N'", l1)
     t = int(v1)
@@ -342,8 +342,6 @@ def _format_step(step: Step) -> str:
             f"step: double group={format_group(G)} "
             f"rows={_format_tuple_list(step.hom.matrix)} g={format_element(step.g)}"
         )
-    if isinstance(step, PFromPi):
-        return "step: p-from-pi"
     if isinstance(step, PiFromP):
         return (
             f"step: pi-from-p group={format_group(step.group)} "
@@ -375,6 +373,15 @@ def _need(kv, keys, lineno: int):
         _fail(f"expected keys {sorted(keys)}, got {sorted(kv)}", lineno)
 
 
+def _parse_hom(src: FiniteAbelianGroup, tgt: FiniteAbelianGroup, rows: str,
+               lineno: int) -> Homomorphism:
+    matrix = _parse_tuple_list(rows, lineno)
+    try:
+        return Homomorphism(src, tgt, matrix)
+    except ValueError as e:
+        _fail(str(e), lineno)
+
+
 def _parse_step(body: str, lineno: int) -> Step:
     parts = body.split()
     if not parts:
@@ -382,47 +389,31 @@ def _parse_step(body: str, lineno: int) -> Step:
     name, kv = parts[0], _parse_kv(parts[1:], lineno)
     if name == "translate":
         _need(kv, ("group", "g"), lineno)
-        G = parse_group(kv["group"])
+        G = parse_group(kv["group"], lineno)
         return Translate(G, parse_element(G, kv["g"], lineno))
     if name == "map-through":
         _need(kv, ("source", "target", "rows"), lineno)
-        src, tgt = parse_group(kv["source"]), parse_group(kv["target"])
-        rows = _parse_tuple_list(kv["rows"])
-        if len(rows) != tgt.dim or any(len(r) != src.dim for r in rows):
-            _fail("matrix shape does not match the groups", lineno)
-        return MapThrough(Homomorphism(src, tgt, rows))
+        src, tgt = parse_group(kv["source"], lineno), parse_group(kv["target"], lineno)
+        return MapThrough(_parse_hom(src, tgt, kv["rows"], lineno))
     if name == "divide-out":
         _need(kv, ("group", "kernel"), lineno)
-        G = parse_group(kv["group"])
-        gens = _parse_tuple_list(kv["kernel"])
-        for g in gens:
-            if len(g) != G.dim or not G.contains(g):
-                _fail(f"kernel generator {g} out of range", lineno)
-        return DivideOutLift(SubgroupGens(G, gens))
+        G = parse_group(kv["group"], lineno)
+        return DivideOutLift(SubgroupGens(G, _parse_tuple_list(kv["kernel"], lineno, G)))
     if name == "double":
         _need(kv, ("group", "rows", "g"), lineno)
-        G = parse_group(kv["group"])
-        rows = _parse_tuple_list(kv["rows"])
-        if len(rows) != G.dim or any(len(r) != G.dim for r in rows):
-            _fail("matrix shape does not match the group", lineno)
-        return TransformDouble(Homomorphism(G, G, rows), parse_element(G, kv["g"], lineno))
-    if name == "p-from-pi":
-        _need(kv, (), lineno)
-        return PFromPi()
+        G = parse_group(kv["group"], lineno)
+        return TransformDouble(_parse_hom(G, G, kv["rows"], lineno),
+                               parse_element(G, kv["g"], lineno))
     if name == "pi-from-p":
         _need(kv, ("group", "order"), lineno)
-        G = parse_group(kv["group"])
-        order = _parse_tuple_list(kv["order"])
-        for t in order:
-            if len(t) != G.dim or not G.contains(t):
-                _fail(f"order element {t} out of range", lineno)
-        return PiFromP(G, order)
+        G = parse_group(kv["group"], lineno)
+        return PiFromP(G, _parse_tuple_list(kv["order"], lineno, G))
     if name == "gadget-s01":
         _need(kv, ("group",), lineno)
-        return GadgetS01(parse_group(kv["group"]))
+        return GadgetS01(parse_group(kv["group"], lineno))
     if name == "gadget-coloring-full":
         _need(kv, ("group",), lineno)
-        return GadgetColoringFull(parse_group(kv["group"]))
+        return GadgetColoringFull(parse_group(kv["group"], lineno))
     if name == "kcol-from-3col":
         _need(kv, ("k",), lineno)
         if not re.fullmatch(r"\d+", kv["k"]):
@@ -451,14 +442,15 @@ def parse_pipeline(text: str) -> ReductionPipeline:
     header = {}
     for lineno, line in lines[:3]:
         key, _, rest = line.partition(":")
-        header[key.strip()] = (lineno, rest.strip())
-    if set(header) != {"variant", "group", "subset"}:
-        _fail("pipeline file must start with variant:, group:, subset:")
+        key = key.strip()
+        if key not in ("variant", "group", "subset") or key in header:
+            _fail("pipeline file must start with variant:, group:, subset:", lineno)
+        header[key] = (lineno, rest.strip())
     variant = header["variant"][1]
     if variant not in ("P", "Pi"):
         _fail(f"bad variant {variant!r}", header["variant"][0])
-    G = parse_group(header["group"][1])
-    S = _parse_subset_literal(G, header["subset"][1])
+    G = parse_group(header["group"][1], header["group"][0])
+    S = _parse_subset_literal(G, header["subset"][1], header["subset"][0])
     steps: List[Step] = []
     trace: List[TraceRecord] = []
     for lineno, line in lines[3:]:

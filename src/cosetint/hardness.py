@@ -87,11 +87,6 @@ class TransformDouble:
 
 
 @dataclass(frozen=True)
-class PFromPi:
-    pass
-
-
-@dataclass(frozen=True)
 class PiFromP:
     group: FiniteAbelianGroup
     order: Tuple[GroupElement, ...]  # enumeration of the folded subset
@@ -453,37 +448,30 @@ def compile_hardness(G: FiniteAbelianGroup, S: SubsetS, variant: str = "P",
 # --- replay -------------------------------------------------------------------
 
 
-def _apply_step(step: Step, inst: ProblemInstance) -> ProblemInstance:
+def _apply_step(step: Step, inst: ProblemInstance,
+                cert: Optional[Certificate]):
+    """One instance-transformer step; returns (instance, threaded
+    certificate or None)."""
     if isinstance(step, Translate):
         if inst.group != step.group:
             raise CompileError("translate step over the wrong group")
-        return translate_instance(inst, step.g)
+        return translate_instance(inst, step.g), cert
     if isinstance(step, MapThrough):
-        return map_instance(inst, step.hom)
-    if isinstance(step, DivideOutLift):
-        return divideout_lift(inst, step.kernel.group, step.kernel)
+        return map_instance(inst, step.hom), cert
     if isinstance(step, TransformDouble):
-        return transform_double(inst, step.hom, step.g)
-    if isinstance(step, PFromPi):
-        if not inst.is_homogeneous():
-            raise CompileError("re-tag step applied to an affine instance")
-        return inst
-    if isinstance(step, PiFromP):
-        return pi_from_p(inst, SubsetS.of(step.group, step.order), order=step.order)
-    raise CompileError(f"step {step!r} is not an instance transformer")
-
-
-def _thread_cert(step: Step, inst_before: ProblemInstance,
-                 cert: Certificate) -> Certificate:
-    if isinstance(step, (Translate, MapThrough, TransformDouble, PFromPi)):
-        return cert
+        return transform_double(inst, step.hom, step.g), cert
     if isinstance(step, DivideOutLift):
-        K = step.kernel
-        slack = inst_before.t * sum(1 for k in K.gens if k != K.group.zero())
-        return tuple(cert) + (0,) * slack
+        out = divideout_lift(inst, step.kernel.group, step.kernel)
+        if cert is not None:
+            # the slack generators take coefficient zero
+            cert = tuple(cert) + (0,) * (len(out.hgens) - len(inst.hgens))
+        return out, cert
     if isinstance(step, PiFromP):
-        return (1,) + tuple(cert)
-    raise CompileError(f"step {step!r} cannot thread a certificate")
+        out = pi_from_p(inst, SubsetS.of(step.group, step.order), order=step.order)
+        # the folded generator comes first and takes coefficient one
+        return out, None if cert is None else (1,) + tuple(cert)
+    raise CompileError(f"step {step!r} is not an instance transformer "
+                       "(graph-stage steps open a pipeline and need apply_pipeline)")
 
 
 def apply_steps_to_instance(steps, inst: ProblemInstance,
@@ -491,12 +479,7 @@ def apply_steps_to_instance(steps, inst: ProblemInstance,
     """Run instance-transformer steps on an existing instance, threading an
     optional certificate.  Graph-stage steps need apply_pipeline."""
     for step in steps:
-        if isinstance(step, (KColFrom3Col, GadgetS01, GadgetColoringFull)):
-            raise CompileError("graph-stage steps need apply_pipeline")
-        before = inst
-        inst = _apply_step(step, inst)
-        if cert is not None:
-            cert = _thread_cert(step, before, cert)
+        inst, cert = _apply_step(step, inst, cert)
     return inst, cert
 
 
@@ -513,37 +496,27 @@ def apply_pipeline(pipeline: ReductionPipeline, graph: Graph,
             raise ValueError("colorings use colors 1..3")
         if any(col[u - 1] == col[v - 1] for u, v in graph.edges):
             raise ValueError("coloring is not proper")
+    steps = pipeline.steps
     g = graph
-    inst: Optional[ProblemInstance] = None
+    i = 0
+    while i < len(steps) and isinstance(steps[i], KColFrom3Col):
+        if col is not None:
+            col = pad_coloring(g, steps[i].k, col)
+        g = kcol_from_3col(g, steps[i].k)
+        i += 1
+    gadget = steps[i] if i < len(steps) else None
     cert: Optional[Certificate] = None
-    for step in pipeline.steps:
-        if isinstance(step, KColFrom3Col):
-            if inst is not None:
-                raise CompileError("graph step after the gadget")
-            if col is not None:
-                col = pad_coloring(g, step.k, col)
-            g = kcol_from_3col(g, step.k)
-        elif isinstance(step, GadgetS01):
-            if inst is not None:
-                raise CompileError("pipeline has two gadget steps")
-            inst, layout = gadget_s01(g, step.group)
-            if col is not None:
-                cert = cert_s01(layout, col)
-        elif isinstance(step, GadgetColoringFull):
-            if inst is not None:
-                raise CompileError("pipeline has two gadget steps")
-            inst = gadget_coloring_full(g, step.group)
-            if col is not None:
-                cert = cert_coloring_full(g, step.group, col)
-        else:
-            if inst is None:
-                raise CompileError("pipeline is missing its gadget front end")
-            before = inst
-            inst = _apply_step(step, inst)
-            if cert is not None:
-                cert = _thread_cert(step, before, cert)
-    if inst is None:
+    if isinstance(gadget, GadgetS01):
+        inst, layout = gadget_s01(g, gadget.group)
+        if col is not None:
+            cert = cert_s01(layout, col)
+    elif isinstance(gadget, GadgetColoringFull):
+        inst = gadget_coloring_full(g, gadget.group)
+        if col is not None:
+            cert = cert_coloring_full(g, gadget.group, col)
+    else:
         raise CompileError("pipeline is missing its gadget front end")
+    inst, cert = apply_steps_to_instance(steps[i + 1:], inst, cert)
     if inst.group != pipeline.group:
         raise CompileError("pipeline replay ended over the wrong group")
     return inst, cert

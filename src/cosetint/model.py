@@ -123,10 +123,6 @@ class ProblemInstance:
                     return f"generator entry {e} not in group {self.group}"
         return None
 
-    @property
-    def power_group(self) -> FiniteAbelianGroup:
-        return self.group.power(self.t)
-
     def is_homogeneous(self) -> bool:
         zero = self.group.zero()
         return all(e == zero for e in self.xstar)

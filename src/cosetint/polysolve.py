@@ -8,7 +8,7 @@ changes the answer and is a coset precisely in the tractable cases.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .groups import (
     FiniteAbelianGroup,

@@ -14,7 +14,7 @@ a few shared element objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groups import (
@@ -152,13 +152,6 @@ def transform_double(inst: ProblemInstance, c: Homomorphism, g: GroupElement) ->
     xstar = inst.xstar + _mapped(shifted, inst.xstar)
     hgens = tuple(gen + _mapped(image, gen) for gen in inst.hgens)
     return ProblemInstance(G, 2 * inst.t, xstar, hgens)
-
-
-def p_from_pi(inst: ProblemInstance) -> ProblemInstance:
-    """A homogeneous instance is already an affine instance; just re-tag."""
-    if not inst.is_homogeneous():
-        raise ValueError("homogeneous re-tag needs xstar = 0")
-    return inst
 
 
 def pi_from_p(inst: ProblemInstance, S_prime: SubsetS,

@@ -176,6 +176,34 @@ class TestMoreSurface:
                      "--out", str(s)]) == 0
         formats.parse_subset(FiniteAbelianGroup((6,)), s.read_text())
 
+    def test_gen_instance_output_is_pinned(self, capsys):
+        # text written by the earlier generator, which drew with rng.choice
+        # over the listed elements of G
+        assert main(["gen", "--kind", "instance", "--seed", "5", "--group", "2,3,4",
+                     "--t", "3", "--gens", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "# seed: 5\n# kind: instance\ngroup: 2,3,4\nt: 3\n"
+            "xstar: (1,1,3) (0,2,0) (1,2,3)\n"
+            "gen: (0,2,3) (1,2,2) (1,2,3)\n"
+            "gen: (1,2,0) (1,1,0) (0,0,0)\n"
+        )
+        assert main(["gen", "--kind", "instance", "--seed", "11", "--group", "6"]) == 0
+        assert capsys.readouterr().out == (
+            "# seed: 11\n# kind: instance\ngroup: 6\nt: 2\n"
+            "xstar: (3) (3)\ngen: (4) (4)\ngen: (1) (1)\ngen: (4) (3)\n"
+        )
+
+    @pytest.mark.parametrize("group", [",".join(["2"] * 20), "1048576"])
+    def test_gen_instance_does_not_list_the_group(self, capsys, monkeypatch, group):
+        def refuse(self):
+            raise AssertionError("gen --kind instance listed every element of G")
+
+        monkeypatch.setattr(FiniteAbelianGroup, "elements", refuse)
+        assert main(["gen", "--kind", "instance", "--seed", "1", "--group", group,
+                     "--t", "2", "--gens", "2"]) == 0
+        inst = formats.parse_instance(capsys.readouterr().out)
+        assert inst.group.order == 1 << 20 and len(inst.hgens) == 2
+
     def test_reduce_applies_transformer_steps(self, capsys, tmp_path):
         steps = write(
             tmp_path / "steps.txt",
@@ -198,9 +226,9 @@ class TestMoreSurface:
                    "--out", str(tmp_path / "o.txt")])
         assert rc == 2
 
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        assert "selftest: all ok" in capsys.readouterr().out
+    def test_selftest_is_gone(self, capsys):
+        assert main(["selftest"]) == 2
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 class TestRoundTripFuzz:

@@ -13,7 +13,6 @@ from cosetint.hardness import (
     GadgetS01,
     KColFrom3Col,
     MapThrough,
-    PFromPi,
     PiFromP,
     ReductionPipeline,
     TraceRecord,
@@ -115,6 +114,19 @@ class TestSubsetFormat:
         with pytest.raises(ParseError):
             parse_subset(Z4, bad)
 
+    @pytest.mark.parametrize("literal, msg", [
+        ("{0,7}", "subset entry 7 out of range for group 4"),
+        ("{0,x}", "bad subset entry 'x'"),
+        ("{(1),(7)}", "element (7) out of range for group 4"),
+        ("{(1),(1,0)}", "element (1,0) has 2 coordinates, group has 1"),
+        ("{(1)(2)}", "bad tuple '(1)(2)': expected (a,b,...)"),
+        ("{0,1", "bad subset literal '{0,1': expected {...}"),
+    ])
+    def test_literal_errors_name_their_line(self, literal, msg):
+        with pytest.raises(ParseError) as err:
+            parse_subset(Z4, f"# a comment\n{literal}\n")
+        assert str(err.value) == f"line 2: {msg}"
+
     def test_random_round_trips(self):
         rng = random.Random(5)
         for G in small_groups(8):
@@ -188,6 +200,8 @@ class TestInstanceFormat:
             (lambda text: parse_subset(Z4, text), f"(1)\n\n# a comment\n{token}\n(2)\n"),
             (parse_pipeline, head + f"step: translate group=4 g={token}\n"),
             (parse_pipeline, head + f"step: double group=4 rows=(1) g={token}\n"),
+            (parse_pipeline, head + f"step: divide-out group=4 kernel=(2),{token}\n"),
+            (parse_pipeline, head + f"step: pi-from-p group=4 order={token},(1)\n"),
         ]:
             with pytest.raises(ParseError) as err:
                 parse(text)
@@ -325,7 +339,6 @@ def _all_step_kinds():
         DivideOutLift(SubgroupGens(C24, ((1, 0), (0, 2)))),
         TransformDouble(scaling_hom(Z4, -1), (3,)),
         TransformDouble(scaling_hom(Z4, 1), (2,)),
-        PFromPi(),
         PiFromP(Z4, ((1,), (3,))),
         GadgetS01(Z4),
         GadgetColoringFull(FiniteAbelianGroup((2, 2))),
@@ -375,10 +388,44 @@ class TestPipelineFormat:
         "variant: P\ngroup: 4\nsubset: {0}\nstep: translate group=4 g=(1) x=2\n",
         "variant: P\ngroup: 4\nsubset: {0}\nstep: map-through source=4 target=4 rows=(1),(2)\n",
         "variant: P\ngroup: 4\nsubset: {0}\ntrace: x a=1\nstep: translate group=4 g=(1)\n",
+        "variant: P\ngroup: 4\nsubset: {0}\nstep: map-through source=2 target=4 rows=(1)\n",
+        "variant: P\ngroup: 4\nsubset: {0}\nstep: p-from-pi\n",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_pipeline(bad)
+
+    @pytest.mark.parametrize("line, msg", [
+        ("step: map-through source=2 target=4 rows=(1)",
+         "matrix does not define a homomorphism"),
+        ("step: double group=2,4 rows=(1,0),(1,1) g=(0,0)",
+         "matrix does not define a homomorphism"),
+        ("step: map-through source=4 target=4 rows=(1),(2)",
+         "matrix shape does not match source/target dims"),
+        ("step: map-through source=4 target=4 rows=(x)", "bad tuple '(x)': expected (a,b,...)"),
+        ("step: divide-out group=4 kernel=(1),(q)", "bad tuple '(q)': expected (a,b,...)"),
+        ("step: pi-from-p group=4 order=(1", "bad tuple '(1': expected (a,b,...)"),
+        ("step: translate group=0 g=(1)",
+         "bad group '0': moduli must be >= 2 (the trivial group is written 1)"),
+        ("step: p-from-pi", "unknown step 'p-from-pi'"),
+    ])
+    def test_step_errors_name_their_line(self, line, msg):
+        with pytest.raises(ParseError) as err:
+            parse_pipeline(f"variant: P\ngroup: 4\n\nsubset: {{0,1}}\n{line}\n")
+        assert str(err.value) == f"line 5: {msg}"
+
+    @pytest.mark.parametrize("text, msg", [
+        ("variant: P\ngroup: 4\nsubset: {0,7}\n", "line 3: subset entry 7 out of range for group 4"),
+        ("variant: P\ngroup: 4\nsubset: {(1),(7)}\n", "line 3: element (7) out of range for group 4"),
+        ("variant: P\ngroup: 2,x\nsubset: {}\n",
+         "line 2: bad group '2,x': expected comma-separated moduli like 4 or 2,4"),
+        ("variant: P\nsubset: {0}\nsubset: {0}\n",
+         "line 3: pipeline file must start with variant:, group:, subset:"),
+    ])
+    def test_header_errors_name_their_line(self, text, msg):
+        with pytest.raises(ParseError) as err:
+            parse_pipeline(text)
+        assert str(err.value) == msg
 
     def test_matrix_entries_keep_sign(self):
         text = (

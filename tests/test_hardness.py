@@ -189,6 +189,17 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             apply_pipeline(pipe, complete_graph(3), coloring=(1, 2, 1))
 
+    @pytest.mark.parametrize("steps", [
+        (GadgetS01(Z4), GadgetS01(Z4)),
+        (GadgetS01(Z4), KColFrom3Col(4)),
+        (Translate(Z4, (1,)),),
+    ], ids=["second-gadget", "kcol-after-gadget", "no-gadget"])
+    def test_rejects_malformed_replay_shapes(self, steps):
+        pipe = ReductionPipeline(Z4, SubsetS.of(Z4, [(0,), (1,)]), "P", steps, ())
+        for coloring in (None, (1, 2, 3)):
+            with pytest.raises(CompileError):
+                apply_pipeline(pipe, complete_graph(3), coloring=coloring)
+
 
 class TestTraceAndDeterminism:
     @pytest.mark.parametrize("variant,G,elems", TARGETS)

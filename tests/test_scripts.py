@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -38,3 +39,33 @@ def test_every_benchmark_traced_name_resolves():
         for part in path:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(name)), f"cosetint.{mod_name}.{attr}"
+
+
+def _names_used(tree):
+    """Every bare name the module reads, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used |= _names_used(ast.parse(annotation.value, mode="eval"))
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "cosetint").glob("*.py")):
+        if path.name == "__init__.py":  # re-exports by design
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert not unused, f"imported but never used: {unused}"

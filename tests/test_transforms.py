@@ -28,7 +28,6 @@ from cosetint.transforms import (
     gadget_s01_subset,
     kcol_from_3col,
     map_instance,
-    p_from_pi,
     pad_coloring,
     path_graph,
     phi_fixed_subset,
@@ -223,15 +222,6 @@ class TestTransformDouble:
 
 
 class TestPiRetagging:
-    def test_p_from_pi_is_identity(self):
-        inst = ProblemInstance(Z4, 1, ((0,),), (((2,),),))
-        assert p_from_pi(inst) == inst
-
-    def test_p_from_pi_rejects_affine(self):
-        inst = ProblemInstance(Z4, 1, ((1,),), ())
-        with pytest.raises(ValueError):
-            p_from_pi(inst)
-
     def test_pi_from_p_worked_example(self):
         S = SubsetS.of(Z4, [(1,), (3,)])
         inst = ProblemInstance(Z4, 1, ((1,),), (((2,),),))
