@@ -1,10 +1,10 @@
 """Dichotomy classifiers for the affine and homogeneous problems.
 
-Affine problem: in P iff S is empty or a coset, NP-complete otherwise.
-Homogeneous problem: in P iff the dilation core of S is empty or a
-coset, NP-complete otherwise.  The dilation core is the intersection of
-all integer dilates aS with aS contained in S; it absorbs the parts of
-S that a subgroup can never be forced to avoid.
+Affine problem: in P iff S is empty or a coset (S - min(S) is as large as
+its span), NP-complete otherwise.  Homogeneous problem: in P iff the
+dilation core of S is empty or a coset, NP-complete otherwise.  The core
+is the intersection of the integer dilates aS inside S, found from the
+idempotent dilates alone; it absorbs what a subgroup cannot be forced to avoid.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .groups import FiniteAbelianGroup, GroupElement, SubgroupGens
+from .groups import FiniteAbelianGroup, GroupElement, SubgroupGens, span_order
 from .model import SubsetS
 
 IN_P = "in-P"
@@ -56,35 +56,26 @@ def _element_formatter(cls):
 
 
 def is_coset(S: SubsetS):
-    """(base, subgroup gens) if S - min(S) is subtraction-closed, else None."""
+    """(base, subgroup gens) if S - min(S), which holds 0, is its own span, else None."""
     if not S.elements:
         return None
     G = S.group
     base = min(S.elements)
     diffs = frozenset(G.sub(e, base) for e in S.elements)
-    for x in diffs:
-        for y in diffs:
-            if G.sub(x, y) not in diffs:
-                return None
+    # a subgroup's order divides |G| (the cheap test), and it is its own span
+    if G.order % len(diffs) or span_order(G, diffs) != len(diffs):
+        return None
     return base, SubgroupGens(G, tuple(sorted(diffs)))
 
 
 def dilation_core(S: SubsetS) -> SubsetS:
-    """Intersection of the dilates aS over all a with aS inside S."""
+    """Intersection of the dilates aS inside S.  A power e of each such a is
+    an idempotent mod the exponent with eS inside aS, so those e suffice."""
     G = S.group
-    if not S.elements:
-        return S
-    core = None
-    for a in range(G.exponent):
-        dilated = []
-        for e in S.elements:
-            x = G.scale(a, e)
-            if x not in S.elements:
-                break  # aS is not inside S
-            dilated.append(x)
-        else:
-            core = frozenset(dilated) if core is None else core.intersection(dilated)
-    assert core is not None  # a = 1 always qualifies
+    core = S.elements  # a = 1
+    for e in range(G.exponent):
+        if e * e % G.exponent == e and all(G.scale(e, x) in S.elements for x in S.elements):
+            core = core.intersection(G.scale(e, x) for x in S.elements)
     return SubsetS(G, core)
 
 

@@ -39,8 +39,8 @@ from .hardness import (
     Translate,
 )
 
-# groups larger than this are rejected at the parse boundary; the solvers
-# and the classifier enumerate G, so unbounded orders only buy hangs
+# groups larger than this are rejected at the parse boundary: the oracle, `gen
+# --kind subset` and `_two_gen_worklist` still scan G, so larger orders buy hangs
 MAX_ORDER = 1 << 20
 
 
@@ -373,20 +373,19 @@ def _need(kv, keys, lineno: int):
         _fail(f"expected keys {sorted(keys)}, got {sorted(kv)}", lineno)
 
 
-def _parse_hom(src: FiniteAbelianGroup, tgt: FiniteAbelianGroup, rows: str,
-               lineno: int) -> Homomorphism:
-    matrix = _parse_tuple_list(rows, lineno)
-    try:
-        return Homomorphism(src, tgt, matrix)
-    except ValueError as e:
-        _fail(str(e), lineno)
-
-
 def _parse_step(body: str, lineno: int) -> Step:
     parts = body.split()
     if not parts:
         _fail("empty step line", lineno)
-    name, kv = parts[0], _parse_kv(parts[1:], lineno)
+    try:
+        return _build_step(parts[0], _parse_kv(parts[1:], lineno), lineno)
+    except ParseError:
+        raise
+    except ValueError as e:  # a step or homomorphism that rejects its parameters
+        _fail(str(e), lineno)
+
+
+def _build_step(name: str, kv, lineno: int) -> Step:
     if name == "translate":
         _need(kv, ("group", "g"), lineno)
         G = parse_group(kv["group"], lineno)
@@ -394,7 +393,7 @@ def _parse_step(body: str, lineno: int) -> Step:
     if name == "map-through":
         _need(kv, ("source", "target", "rows"), lineno)
         src, tgt = parse_group(kv["source"], lineno), parse_group(kv["target"], lineno)
-        return MapThrough(_parse_hom(src, tgt, kv["rows"], lineno))
+        return MapThrough(Homomorphism(src, tgt, _parse_tuple_list(kv["rows"], lineno)))
     if name == "divide-out":
         _need(kv, ("group", "kernel"), lineno)
         G = parse_group(kv["group"], lineno)
@@ -402,7 +401,7 @@ def _parse_step(body: str, lineno: int) -> Step:
     if name == "double":
         _need(kv, ("group", "rows", "g"), lineno)
         G = parse_group(kv["group"], lineno)
-        return TransformDouble(_parse_hom(G, G, kv["rows"], lineno),
+        return TransformDouble(Homomorphism(G, G, _parse_tuple_list(kv["rows"], lineno)),
                                parse_element(G, kv["g"], lineno))
     if name == "pi-from-p":
         _need(kv, ("group", "order"), lineno)

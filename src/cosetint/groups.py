@@ -7,9 +7,9 @@ algebra:
 - `solve_linear_congruence` (membership, preimages, one preimage to lift):
   row elimination mod each prime power of the lcm of the moduli, combined
   by CRT;
-- `_echelon` (kernels, a quotient's lexicographically smallest lifts, and
-  through both the presentation of a span): a column echelon basis over
-  mixed moduli with extended-gcd pivots;
+- `_echelon` (kernels, the order of a span, a quotient's lexicographically
+  smallest lifts, and through both the presentation of a span): a column
+  echelon basis over mixed moduli with extended-gcd pivots;
 - `smith_normal_form` (a quotient's invariant factors and projection):
   exact integer Smith normal form.
 
@@ -67,7 +67,7 @@ class FiniteAbelianGroup:
 
     def contains(self, x) -> bool:
         return len(x) == self.dim and all(
-            isinstance(v, int) and 0 <= v < d for v, d in zip(x, self.moduli)
+            type(v) is int and 0 <= v < d for v, d in zip(x, self.moduli)
         )
 
     def add(self, x, y) -> GroupElement:
@@ -261,6 +261,12 @@ def _echelon(cols: Sequence[Sequence[int]], moduli: Sequence[int], nclear: int):
             pivots.append((i, piv[i], tuple(piv)))
         cols = rest
     return pivots, cols
+
+
+def span_order(G: FiniteAbelianGroup, gens) -> int:
+    """Order of span(gens): by the Howell property, prod moduli[i] / d over the pivots."""
+    pivots, _ = _echelon(gens, G.moduli, G.dim)
+    return math.prod(G.moduli[i] // d for i, d, _ in pivots)
 
 
 # Trial division up to this bound factors every modulus up to its square,

@@ -34,7 +34,6 @@ from .classify import (
     NP_COMPLETE,
     classify_affine,
     classify_homogeneous,
-    dilation_core,
     find_noncoset_witness,
     is_coset,
 )
@@ -43,6 +42,7 @@ from .transforms import (
     Graph,
     cert_coloring_full,
     cert_s01,
+    check_padding,
     complete_graph,
     divideout_lift,
     gadget_coloring_full,
@@ -62,6 +62,8 @@ class CompileError(Exception):
 
 
 # --- pipeline steps ---------------------------------------------------------
+# PiFromP and GadgetS01 run their transform on an empty input when built, and
+# KColFrom3Col its k check, so bad parameters fail where a step is made or parsed.
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,17 @@ class PiFromP:
     group: FiniteAbelianGroup
     order: Tuple[GroupElement, ...]  # enumeration of the folded subset
 
+    def __post_init__(self):
+        S = SubsetS.of(self.group, self.order)
+        pi_from_p(ProblemInstance(self.group, 0, (), ()), S, self.order)
+
 
 @dataclass(frozen=True)
 class GadgetS01:
     group: FiniteAbelianGroup
+
+    def __post_init__(self):
+        gadget_s01(Graph(0, frozenset()), self.group)
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,9 @@ class GadgetColoringFull:
 @dataclass(frozen=True)
 class KColFrom3Col:
     k: int
+
+    def __post_init__(self):
+        check_padding(self.k)
 
 
 Step = object  # tagged union of the dataclasses above
@@ -412,7 +424,7 @@ def compile_hardness_Pi(G: FiniteAbelianGroup, S: SubsetS,
     if cls.verdict != NP_COMPLETE:
         raise CompileError("nothing to compile: " + cls.describe())
     trace: List[TraceRecord] = []
-    T = dilation_core(S)
+    T = cls.core
     trace.append(_rec("core-fixed", core=T.elements))
     A, emb = subgroup_abstract(SubgroupGens(G, T.sorted_elements()))
     elemsA = tuple(A.elements())

@@ -72,10 +72,6 @@ class SubsetS:
         G = self.group
         return SubsetS(G, frozenset(G.add(e, g) for e in self.elements))
 
-    def dilate(self, a: int) -> "SubsetS":
-        G = self.group
-        return SubsetS(G, frozenset(G.scale(a, e) for e in self.elements))
-
 
 @dataclass(frozen=True)
 class ProblemInstance:

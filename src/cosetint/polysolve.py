@@ -49,7 +49,7 @@ def solve_affine_coset(inst: ProblemInstance, S: SubsetS) -> SolveResult:
         return SolveResult("yes", nzero) if t == 0 else SolveResult("no")
     hit = is_coset(S)
     if hit is None:
-        raise ValueError("affine fast path needs S empty or a coset")
+        raise ValueError("fast path needs S (its dilation core if x* = 0) empty or a coset")
     base, sub = hit
     if t == 0:
         return SolveResult("yes", nzero)
@@ -76,14 +76,6 @@ def solve_homogeneous_core(inst: ProblemInstance, S: SubsetS) -> SolveResult:
         raise ValueError("subset and instance are over different groups")
     if not inst.is_homogeneous():
         raise ValueError("homogeneous fast path needs xstar = 0")
-    G = inst.group
-    nzero = (0,) * len(inst.hgens)
-    if G.zero() in S:
-        return SolveResult("yes", nzero)
-    if not S.elements:
-        return SolveResult("yes", nzero) if inst.t == 0 else SolveResult("no")
-    core = dilation_core(S)
-    assert core.elements  # nonempty S keeps itself in the intersection family
-    if is_coset(core) is None:
-        raise ValueError("homogeneous fast path needs the dilation core to be a coset")
-    return solve_affine_coset(inst, core)
+    if inst.group.zero() in S:
+        return SolveResult("yes", (0,) * len(inst.hgens))
+    return solve_affine_coset(inst, dilation_core(S))

@@ -300,20 +300,23 @@ def cert_coloring_full(graph: Graph, G: FiniteAbelianGroup,
     the coordinates of the color's group element (lex enumeration)."""
     if len(coloring) != graph.n:
         raise ValueError("coloring length does not match vertex count")
-    elems = list(G.elements())
     cert: List[int] = []
     for v in range(1, graph.n + 1):
         color = coloring[v - 1]
         if not (1 <= color <= G.order):
             raise ValueError(f"color {color} out of range 1..{G.order}")
-        cert.extend(elems[color - 1])
+        cert.extend(G.element_at(color - 1))
     return tuple(cert)
+
+
+def check_padding(k: int) -> None:
+    if k < 3:
+        raise ValueError("padding needs k >= 3")
 
 
 def kcol_from_3col(graph: Graph, k: int) -> Graph:
     """Universal-vertex padding: k-colorable iff the input is 3-colorable."""
-    if k < 3:
-        raise ValueError("padding needs k >= 3")
+    check_padding(k)
     extra = range(graph.n + 1, graph.n + k - 2)
     edges = set(graph.edges)
     for x in extra:

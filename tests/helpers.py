@@ -327,6 +327,47 @@ def reference_noncoset_witness(S):
 
 
 
+# --- scan references -----------------------------------------------------------
+# is_coset and dilation_core as they were before they were built from the
+# echelon basis and the idempotents: a pairwise closure test and a scan over
+# every a < exponent.
+
+
+def reference_is_coset(S):
+    """(base, subgroup gens) if S - min(S) is subtraction-closed, else None."""
+    if not S.elements:
+        return None
+    G = S.group
+    base = min(S.elements)
+    diffs = frozenset(G.sub(e, base) for e in S.elements)
+    for x in diffs:
+        for y in diffs:
+            if G.sub(x, y) not in diffs:
+                return None
+    return base, SubgroupGens(G, tuple(sorted(diffs)))
+
+
+def reference_dilation_core(S):
+    """Intersection of the dilates aS over all a with aS inside S."""
+    from cosetint.model import SubsetS
+
+    G = S.group
+    if not S.elements:
+        return S
+    core = None
+    for a in range(G.exponent):
+        dilated = []
+        for e in S.elements:
+            x = G.scale(a, e)
+            if x not in S.elements:
+                break  # aS is not inside S
+            dilated.append(x)
+        else:
+            core = frozenset(dilated) if core is None else core.intersection(dilated)
+    assert core is not None  # a = 1 always qualifies
+    return SubsetS(G, core)
+
+
 # --- cell-by-cell references -------------------------------------------------
 # The instance layers as they were before they worked once per distinct
 # entry: every cell is checked, mapped, formatted and parsed on its own.

@@ -15,7 +15,14 @@ from cosetint.classify import (
 )
 from cosetint.model import SubsetS
 
-from helpers import all_subgroups, reference_noncoset_witness, small_groups
+from helpers import (
+    all_subgroups,
+    random_coset_subset,
+    reference_dilation_core,
+    reference_is_coset,
+    reference_noncoset_witness,
+    small_groups,
+)
 
 Z4 = FiniteAbelianGroup((4,))
 Z5 = FiniteAbelianGroup((5,))
@@ -115,6 +122,81 @@ class TestDilationCore:
                     assert core.elements == {G.zero()}
                 else:
                     assert core.elements == S.elements
+
+
+class TestMatchesScanReferences:
+    """is_coset and dilation_core agree with the pairwise closure test and
+    the scan over every a < exponent that they replace."""
+
+    def test_every_subset_of_small_groups(self):
+        for G in small_groups(8):
+            for S in all_subsets(G):
+                assert is_coset(S) == reference_is_coset(S), S
+                assert dilation_core(S) == reference_dilation_core(S), S
+
+    @pytest.mark.parametrize("moduli", [(30,), (60,), (210,), (6, 10), (2, 6, 6)])
+    def test_random_subsets_and_cosets(self, moduli):
+        # exponents with idempotents other than 0 and 1, which give cores
+        # other than S and {0}
+        G = FiniteAbelianGroup(moduli)
+        m = G.exponent
+        idempotents = [e for e in range(2, m) if e * e % m == e]
+        rng = random.Random(m * G.order)
+        cosets = proper_cores = 0
+        for _ in range(60):
+            if rng.random() < 0.4:
+                S = random_coset_subset(rng, G)
+            else:
+                p = rng.choice((0.03, 0.1, 0.4))
+                S = SubsetS.of(G, [x for x in G.elements() if rng.random() < p])
+            if rng.random() < 0.6:
+                # add eS, dropping what e sends to 0, so e but not 0 dilates S into itself
+                e = rng.choice(idempotents)
+                kept = [x for x in S.elements if G.scale(e, x) != G.zero()]
+                S = SubsetS.of(G, kept + [G.scale(e, x) for x in kept])
+            hit, core = is_coset(S), dilation_core(S)
+            assert hit == reference_is_coset(S), S
+            assert core == reference_dilation_core(S), S
+            cosets += hit is not None
+            proper_cores += core.elements not in (S.elements, {G.zero()})
+        assert cosets >= 5 and proper_cores >= 20, (cosets, proper_cores)
+
+
+def count_group_ops(monkeypatch, bound):
+    """Count FiniteAbelianGroup.scale and .sub calls, and fail as soon as
+    they pass `bound`, so that a scan is caught without running it out."""
+    calls = {"n": 0}
+    for name in ("scale", "sub"):
+        op = getattr(FiniteAbelianGroup, name)
+
+        def counting(self, *args, _op=op):
+            calls["n"] += 1
+            assert calls["n"] <= bound, f"more than {bound} scale/sub calls"
+            return _op(self, *args)
+
+        monkeypatch.setattr(FiniteAbelianGroup, name, counting)
+    return calls
+
+
+class TestBoundedWork:
+    # count group operations, not seconds: the scans replaced here made
+    # exponent * |S| dilations and |S|^2 differences
+    def test_homogeneous_on_even_nonzero_residues(self, monkeypatch):
+        G = FiniteAbelianGroup((4096,))
+        S = SubsetS.of(G, [(x,) for x in range(2, 4096, 2)])
+        calls = count_group_ops(monkeypatch, 4 * len(S))
+        c = classify_homogeneous(G, S)
+        assert c.reason == "core-non-coset" and c.core == S
+        assert calls["n"] > 0
+
+    def test_affine_on_odd_coset(self, monkeypatch):
+        G = FiniteAbelianGroup((1 << 16,))
+        S = SubsetS.of(G, [(x,) for x in range(1, 1 << 16, 2)])
+        calls = count_group_ops(monkeypatch, 2 * len(S))
+        c = classify_affine(G, S)
+        assert c.reason == "coset" and c.base == (1,)
+        assert c.subgroup.gens == tuple((x,) for x in range(0, 1 << 16, 2))
+        assert calls["n"] > 0
 
 
 class TestWitness:

@@ -155,6 +155,13 @@ class TestMoreSurface:
                    "--cert", str(cert)])
         assert rc == 0
 
+    def test_apply_names_the_line_of_a_bad_step(self, capsys, tmp_path, k3):
+        pipe = write(tmp_path / "pipe.txt",
+                     "variant: P\ngroup: 4\nsubset: {0,1}\nstep: kcol-from-3col k=1\n")
+        out = str(tmp_path / "inst.txt")
+        assert main(["apply", "--pipeline", pipe, "--graph", k3, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: line 4: padding needs k >= 3\n"
+
     def test_gen_is_deterministic(self, capsys, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.txt", "b.txt", "c.txt"))
         for path, seed in ((a, "9"), (b, "9"), (c, "10")):

@@ -390,6 +390,10 @@ class TestPipelineFormat:
         "variant: P\ngroup: 4\nsubset: {0}\ntrace: x a=1\nstep: translate group=4 g=(1)\n",
         "variant: P\ngroup: 4\nsubset: {0}\nstep: map-through source=2 target=4 rows=(1)\n",
         "variant: P\ngroup: 4\nsubset: {0}\nstep: p-from-pi\n",
+        "variant: P\ngroup: 4\nsubset: {0}\nstep: kcol-from-3col k=1\n",
+        "variant: P\ngroup: 4\nsubset: {0}\nstep: gadget-s01 group=2\n",
+        "variant: P\ngroup: 4\nsubset: {0}\nstep: pi-from-p group=4 order=(1),(1)\n",
+        "variant: P\ngroup: 4\nsubset: {0}\nstep: pi-from-p group=4 order=(0),(1)\n",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
@@ -408,6 +412,12 @@ class TestPipelineFormat:
         ("step: translate group=0 g=(1)",
          "bad group '0': moduli must be >= 2 (the trivial group is written 1)"),
         ("step: p-from-pi", "unknown step 'p-from-pi'"),
+        ("step: kcol-from-3col k=1", "padding needs k >= 3"),
+        ("step: gadget-s01 group=2", "the {0,1} gadget needs a cyclic group of order at least 4"),
+        ("step: pi-from-p group=4 order=(1),(1)",
+         "enumeration order must list each subset element once"),
+        ("step: pi-from-p group=4 order=(0),(1)",
+         "homogenization needs the subset fixed by its dilation core"),
     ])
     def test_step_errors_name_their_line(self, line, msg):
         with pytest.raises(ParseError) as err:

@@ -16,6 +16,7 @@ from cosetint.groups import (
     scaling_hom,
     smith_normal_form,
     solve_linear_congruence,
+    span_order,
     standard_gens,
     subgroup_abstract,
     subgroup_enumerate,
@@ -284,6 +285,11 @@ class TestGroupBasics:
         assert G.zero() == ()
         assert list(G.elements()) == [()]
 
+    def test_bool_is_no_coordinate(self):
+        G = FiniteAbelianGroup((2, 4))
+        assert G.contains((1, 1))
+        assert not G.contains((True, 1)) and not G.contains((0, False))
+
     def test_arithmetic(self):
         G = FiniteAbelianGroup((2, 4))
         assert G.order == 8
@@ -365,6 +371,14 @@ class TestSubgroups:
         H = SubgroupGens(G, ((1, 1),))
         assert subgroup_enumerate(H) == [(0, 0), (0, 2), (1, 1), (1, 3)]
         assert subgroup_enumerate(H, cap=3) is None
+
+    def test_span_order_matches_closure(self):
+        rng = random.Random(41)
+        groups = small_groups(12) + [FiniteAbelianGroup(m) for m in ((6, 10), (2, 6, 6), (4, 8))]
+        for G in groups:
+            for _ in range(8):
+                gens = [random_element(rng, G) for _ in range(rng.randrange(5))]
+                assert span_order(G, gens) == len(span_bruteforce(G, gens)), (G, gens)
 
     def test_reduce_gens(self):
         G = FiniteAbelianGroup((4, 4))

@@ -342,6 +342,17 @@ class TestGadgetColoringFull:
             for coloring in proper_colorings(graph, G.order):
                 assert verify_certificate(inst, S, cert_coloring_full(graph, G, coloring))
 
+    def test_cert_does_not_list_the_group(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("cert_coloring_full listed every element of G")
+
+        G = FiniteAbelianGroup((4, 1 << 18))
+        colors = (1, 2, G.order)
+        want = tuple(c for i in colors for c in G.element_at(i - 1))
+        monkeypatch.setattr(FiniteAbelianGroup, "elements", refuse)
+        cert = cert_coloring_full(complete_graph(3), G, colors)
+        assert cert == want == (0, 0, 0, 1, 3, (1 << 18) - 1)
+
 
 class TestGadgetS01:
     def test_layout_shape(self):
@@ -517,10 +528,17 @@ class TestMatchesCellByCellReference:
         assert min(built.values()) >= 300, built
 
     def test_entries_equal_in_value_keep_their_own_text(self):
+        # (True,) equals (1,) but would be written "(True)", which
+        # parse_instance rejects, so a bool is no coordinate
         one, true = (1,), (True,)
-        inst = ProblemInstance(Z4, 3, (true, one, (1,)), ((one, true, (2,)), (true, true, one)))
+        with pytest.raises(ValueError, match=r"xstar entry \(True,\) not in group"):
+            ProblemInstance(Z4, 3, (true, one, (1,)), ((one, true, (2,)), (true, true, one)))
+        with pytest.raises(ValueError, match="not in group"):
+            SubsetS.of(Z4, [(0,), true])
+        inst = ProblemInstance(Z4, 3, (one, one, (1,)), ((one, (1,), (2,)), ((1,), one, one)))
         assert format_instance(inst) == reference_format_instance(inst)
-        assert "xstar: (True) (1) (1)\n" in format_instance(inst)
+        assert "xstar: (1) (1) (1)\n" in format_instance(inst)
+        assert parse_instance(format_instance(inst)) == inst
         double = Homomorphism(Z4, Z4, ((3,),))
         same_instance(translate_instance(inst, (2,)), reference_translate_instance(inst, (2,)))
         same_instance(map_instance(inst, scaling_hom(Z4, 3)),
