@@ -62,8 +62,7 @@ def is_coset(S: SubsetS):
     G = S.group
     base = min(S.elements)
     diffs = frozenset(G.sub(e, base) for e in S.elements)
-    # a subgroup's order divides |G| (the cheap test), and it is its own span
-    if G.order % len(diffs) or span_order(G, diffs) != len(diffs):
+    if span_order(G, diffs) != len(diffs):
         return None
     return base, SubgroupGens(G, tuple(sorted(diffs)))
 
