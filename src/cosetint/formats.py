@@ -24,7 +24,7 @@ from .groups import (
     SubgroupGens,
 )
 from .model import ProblemInstance, SubsetS, entry_table
-from .transforms import Graph
+from .transforms import Graph, map_instance
 from .hardness import (
     DivideOutLift,
     GadgetColoringFull,
@@ -393,7 +393,11 @@ def _build_step(name: str, kv, lineno: int) -> Step:
     if name == "map-through":
         _need(kv, ("source", "target", "rows"), lineno)
         src, tgt = parse_group(kv["source"], lineno), parse_group(kv["target"], lineno)
-        return MapThrough(Homomorphism(src, tgt, _parse_tuple_list(kv["rows"], lineno)))
+        hom = Homomorphism(src, tgt, _parse_tuple_list(kv["rows"], lineno))
+        # injectivity is checked here, not in MapThrough: the compiler builds
+        # only embeddings, and a constructor check would slow every compile
+        map_instance(ProblemInstance(src, 0, (), ()), hom)
+        return MapThrough(hom)
     if name == "divide-out":
         _need(kv, ("group", "kernel"), lineno)
         G = parse_group(kv["group"], lineno)

@@ -110,6 +110,9 @@ class GadgetS01:
 class GadgetColoringFull:
     group: FiniteAbelianGroup
 
+    def __post_init__(self):
+        gadget_coloring_full(Graph(0, frozenset()), self.group)
+
 
 @dataclass(frozen=True)
 class KColFrom3Col:
@@ -544,9 +547,8 @@ def run_selfcheck(pipeline: ReductionPipeline, budget: int = 10 ** 7) -> None:
     res = oracle_solve(inst, pipeline.subset, budget=budget)
     if res.kind == "budget_exceeded":
         raise CompileError(
-            "self-check: the 4-clique oracle run exceeded its budget "
-            "(pipelines that divide out a subgroup defeat the search pruning); "
-            "compile with selfcheck disabled to skip it"
+            f"self-check: the 4-clique oracle run exceeded its budget of {budget} "
+            "nodes; compile with selfcheck disabled to skip it"
         )
     if res.kind != "no":
         raise CompileError("self-check: 4-clique compiled to a yes-instance")

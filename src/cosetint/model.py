@@ -2,13 +2,15 @@
 
 The decision problem: given a coset xstar + H of a subgroup H <= G^t,
 does it meet S^t?  The homogeneous variant fixes xstar = 0.  The oracle
-here is deliberately naive (pruned exhaustive search) -- it is the
-ground truth that every polynomial solver and every reduction is tested
-against, so it must be simple enough to trust by inspection.
+here is deliberately naive (pruned exhaustive search over each
+generator's multiples 0 .. ord(g) - 1) -- it is the ground truth that
+every polynomial solver and every reduction is tested against, so it
+must be simple enough to trust by inspection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -177,7 +179,10 @@ class _Successors(dict):
 
 
 def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Exhaustive pruned DFS over coefficient digits in [0, exponent).
+    """Exhaustive pruned DFS over coefficient digits, generator k's digit
+    in [0, ord(g_k)).  A larger digit c reaches the same point as
+    c - ord(g_k), which is lexicographically smaller, so no certificate
+    is lost and the smallest one keeps every digit below its order.
 
     A coordinate of the running point is tested against S as soon as no
     remaining generator can change it, so identity-like leading blocks
@@ -199,7 +204,6 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
         raise ValueError("budget must be positive")
     G = inst.group
     t, ngens = inst.t, len(inst.hgens)
-    exp = G.exponent
     zero = G.zero()
     members = S.elements
 
@@ -213,9 +217,12 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     for i in range(t):
         final_at[last_touch[i] + 1].append(i)
 
-    # moves[k]: (coordinate, successor memo) for each nonzero entry of gen k
+    # moves[k]: (coordinate, successor memo) for each nonzero entry of gen k;
+    # orders[k]: the order of gen k, the lcm of its entries' orders
     memos = {g: _Successors(G, g) for g in set().union(*inst.hgens)}
+    entry_order = {g: G.element_order(g) for g in memos}
     moves = [[(i, memos[g]) for i, g in enumerate(gen) if g != zero] for gen in inst.hgens]
+    orders = [math.lcm(*(entry_order[g] for g in set(gen))) for gen in inst.hgens]
     point = list(inst.xstar)
     nodes = 0
 
@@ -230,7 +237,7 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
         if k == ngens:
             return tuple(stack)
         move = moves[k]
-        for digit in range(exp):
+        for digit in range(orders[k]):
             if digit:
                 for i, succ in move:
                     point[i] = succ[point[i]]
@@ -239,7 +246,7 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
             if found is not None:
                 return found
             stack.pop()
-        # exponent many additions wrap every coordinate back to its start
+        # orders[k] many additions wrap every coordinate back to its start
         for i, succ in move:
             point[i] = succ[point[i]]
         return None

@@ -229,8 +229,9 @@ def random_subset(rng, G):
 
 
 def reference_oracle_solve(inst, S, budget=10 ** 8):
-    """The loop version of the search oracle: the same DFS as
-    model.oracle_solve, stepping coordinates component-wise and testing
+    """The loop version of the search oracle: the DFS of
+    model.oracle_solve with every digit in [0, exponent) rather than
+    [0, ord(g_k)), stepping coordinates component-wise and testing
     membership through a |G| bytearray.  Returns (result, nodes)."""
     from typing import Optional, Tuple
 

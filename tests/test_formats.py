@@ -394,6 +394,8 @@ class TestPipelineFormat:
         "variant: P\ngroup: 4\nsubset: {0}\nstep: gadget-s01 group=2\n",
         "variant: P\ngroup: 4\nsubset: {0}\nstep: pi-from-p group=4 order=(1),(1)\n",
         "variant: P\ngroup: 4\nsubset: {0}\nstep: pi-from-p group=4 order=(0),(1)\n",
+        "variant: P\ngroup: 4\nsubset: {0}\nstep: map-through source=4 target=4 rows=(2)\n",
+        "variant: P\ngroup: 4\nsubset: {0}\nstep: gadget-coloring-full group=2\n",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
@@ -418,6 +420,10 @@ class TestPipelineFormat:
          "enumeration order must list each subset element once"),
         ("step: pi-from-p group=4 order=(0),(1)",
          "homogenization needs the subset fixed by its dilation core"),
+        ("step: map-through source=4 target=4 rows=(2)",
+         "instance mapping needs an injective homomorphism"),
+        ("step: gadget-coloring-full group=2",
+         "the full-coloring gadget needs group order at least 3"),
     ])
     def test_step_errors_name_their_line(self, line, msg):
         with pytest.raises(ParseError) as err:

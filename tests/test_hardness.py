@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from cosetint.hardness import (
     compile_hardness_P,
     compile_hardness_Pi,
     normalize_steps,
+    run_selfcheck,
     verify_trace,
 )
 
@@ -250,12 +252,15 @@ class TestNormalization:
         assert normalize_steps((keep,)) == (keep,)
 
 
+SWEEP_BUDGET = 2 * 10 ** 5
+
+
 class TestCompileSweep:
-    """Every NP-complete target over small groups compiles, and the
-    triangle's threaded certificate verifies end to end."""
+    """Every NP-complete target over small groups compiles and passes
+    its self-check: the triangle's threaded certificate verifies end to
+    end, and the oracle decides the 4-clique No within SWEEP_BUDGET."""
 
     def test_affine_sweep(self):
-        k3 = complete_graph(3)
         count = 0
         for G in small_groups(6):
             elems = list(G.elements())
@@ -264,14 +269,11 @@ class TestCompileSweep:
                 if classify_affine(G, S).verdict != NP_COMPLETE:
                     continue
                 pipe = compile_hardness_P(G, S, selfcheck=False)
-                inst, cert = apply_pipeline(pipe, k3, coloring=(1, 2, 3))
-                assert cert is not None and verify_certificate(inst, S, cert)
-                apply_pipeline(pipe, complete_graph(4))
+                run_selfcheck(pipe, budget=SWEEP_BUDGET)
                 count += 1
         assert count > 30
 
     def test_homogeneous_sweep(self):
-        k3 = complete_graph(3)
         count = skipped = 0
         for G in small_groups(6):
             elems = list(G.elements())
@@ -284,7 +286,15 @@ class TestCompileSweep:
                 except CompileError:
                     skipped += 1  # S meets the core's span outside the core
                     continue
-                inst, cert = apply_pipeline(pipe, k3, coloring=(1, 2, 3))
-                assert cert is not None and verify_certificate(inst, S, cert)
+                run_selfcheck(pipe, budget=SWEEP_BUDGET)
                 count += 1
         assert count > 10
+
+    def test_ten_generators_over_z6_stop_at_their_orders(self):
+        # seven of the K4 instance's ten generators have order 2 or 3, so
+        # the search box holds 3 * 6^3 * 2^6 leaves rather than 6^10
+        pipe = compiled("P", Z6, [(0,), (2,), (3,), (5,)])
+        inst, _ = apply_pipeline(pipe, complete_graph(4))
+        orders = [math.lcm(*map(Z6.element_order, gen)) for gen in inst.hgens]
+        assert orders == [3, 6, 6, 6] + [2] * 6
+        assert oracle_solve(inst, pipe.subset, budget=20_000).kind == "no"
