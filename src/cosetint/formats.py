@@ -24,7 +24,7 @@ from .groups import (
     SubgroupGens,
 )
 from .model import ProblemInstance, SubsetS, entry_table
-from .transforms import Graph, map_instance
+from .transforms import Graph, check_injective
 from .hardness import (
     DivideOutLift,
     GadgetColoringFull,
@@ -396,7 +396,7 @@ def _build_step(name: str, kv, lineno: int) -> Step:
         hom = Homomorphism(src, tgt, _parse_tuple_list(kv["rows"], lineno))
         # injectivity is checked here, not in MapThrough: the compiler builds
         # only embeddings, and a constructor check would slow every compile
-        map_instance(ProblemInstance(src, 0, (), ()), hom)
+        check_injective(hom)
         return MapThrough(hom)
     if name == "divide-out":
         _need(kv, ("group", "kernel"), lineno)

@@ -42,7 +42,10 @@ from .transforms import (
     Graph,
     cert_coloring_full,
     cert_s01,
+    check_gadget_coloring_full,
+    check_gadget_s01,
     check_padding,
+    check_pi_from_p,
     complete_graph,
     divideout_lift,
     gadget_coloring_full,
@@ -62,8 +65,8 @@ class CompileError(Exception):
 
 
 # --- pipeline steps ---------------------------------------------------------
-# PiFromP and GadgetS01 run their transform on an empty input when built, and
-# KColFrom3Col its k check, so bad parameters fail where a step is made or parsed.
+# PiFromP, the gadgets and KColFrom3Col run their transform's parameter check
+# when built, so bad parameters fail where a step is made or parsed.
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,7 @@ class PiFromP:
     order: Tuple[GroupElement, ...]  # enumeration of the folded subset
 
     def __post_init__(self):
-        S = SubsetS.of(self.group, self.order)
-        pi_from_p(ProblemInstance(self.group, 0, (), ()), S, self.order)
+        check_pi_from_p(SubsetS.of(self.group, self.order), self.order)
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class GadgetS01:
     group: FiniteAbelianGroup
 
     def __post_init__(self):
-        gadget_s01(Graph(0, frozenset()), self.group)
+        check_gadget_s01(self.group)
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class GadgetColoringFull:
     group: FiniteAbelianGroup
 
     def __post_init__(self):
-        gadget_coloring_full(Graph(0, frozenset()), self.group)
+        check_gadget_coloring_full(self.group)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ does it meet S^t?  The homogeneous variant fixes xstar = 0.  The oracle
 here is deliberately naive (pruned exhaustive search over each
 generator's multiples 0 .. ord(g) - 1) -- it is the ground truth that
 every polynomial solver and every reduction is tested against, so it
-must be simple enough to trust by inspection.
+must be simple enough to trust by inspection.  Its one pruning rule: the
+coordinates that the same remaining generators R still move form a
+group, and a node fails when no digit tuple of R puts the whole group
+into S.  With R empty that is the test of a finished coordinate.
 """
 
 from __future__ import annotations
@@ -178,25 +181,79 @@ class _Successors(dict):
         return y
 
 
+class _Hits(dict):
+    """x -> bitmask of the digit tuples of a generator suffix R that move
+    x into S, for one coordinate's entries over R, filled on demand.
+
+    The entry of R's first generator is `succ.g`, `order` is that
+    generator's order, and `tail` holds the hits of the rest of R (an
+    `_InS` when R has one generator).  Tuples are numbered in mixed radix
+    with the first digit most significant, so every coordinate with the
+    same R numbers them alike and the masks of a group can be ANDed."""
+
+    def __init__(self, succ: _Successors, order: int, tail: dict):
+        super().__init__()
+        self.succ, self.tail = succ, tail
+        self.size = order * tail.size
+
+    def __missing__(self, x: GroupElement) -> int:
+        tail, succ = self.tail, self.succ
+        mask, y = 0, x
+        for shift in range(0, self.size, tail.size):
+            mask |= tail[y] << shift
+            y = succ[y]
+        self[x] = mask
+        return mask
+
+
+class _InS(dict):
+    """x -> 1 if x is in S else 0: the hits of the empty digit tuple."""
+
+    size = 1
+
+    def __init__(self, members: frozenset):
+        super().__init__()
+        self.members = members
+
+    def __missing__(self, x: GroupElement) -> int:
+        hit = self[x] = int(x in self.members)
+        return hit
+
+
+# the largest number of digit tuples a group check enumerates (also capped by |G|)
+GROUP_CHECK_TUPLES = 64
+
+
 def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exhaustive pruned DFS over coefficient digits, generator k's digit
     in [0, ord(g_k)).  A larger digit c reaches the same point as
     c - ord(g_k), which is lexicographically smaller, so no certificate
     is lost and the smallest one keeps every digit below its order.
 
-    A coordinate of the running point is tested against S as soon as no
-    remaining generator can change it, so identity-like leading blocks
-    prune the search hard.  Digits are tried in ascending order with
-    generators in given order, which makes the first certificate found
-    the lexicographically smallest one.  Every call of the search is one
-    node and counts against the budget; the result carries the count
-    (budget + 1 when the budget is exceeded).
+    At the node for generator k, coordinate i's remaining generators are
+    R = {j >= k : g_j[i] != 0}, and the coordinates with equal R form a
+    group that only R's digits can still move.  The node fails when some
+    group has no digit tuple (c_j < ord(g_j))_{j in R} putting every one
+    of its coordinates into S.  The root checks every group; the node
+    below generator k - 1 checks the groups that g_{k-1} changed.  For
+    R empty this is the test of a coordinate once no remaining generator
+    can change it.  A group is skipped when R has more than
+    min(|G|, GROUP_CHECK_TUPLES) digit tuples.  A failing node has no
+    certificate below it, so the search visits a subtree of the plain
+    DFS in the same order.
+
+    Digits are tried in ascending order with generators in given order,
+    which makes the first certificate found the lexicographically
+    smallest one.  Every call of the search is one node and counts
+    against the budget; the result carries the count (budget + 1 when
+    the budget is exceeded).
 
     The running point is a list of element tuples.  Adding generator
     entry g to a coordinate reads a successor memo x -> x + g, one dict
-    per distinct entry, filled as the search first takes each step, so
-    memory grows with the transitions taken and nothing of size |G| is
-    allocated.
+    per distinct entry, filled as the search first takes each step.  A
+    group check ANDs per-coordinate bitmasks of the digit tuples that
+    land in S (`_Hits`), one memo per distinct run of entries and orders,
+    also filled on demand, so nothing of size |G| is allocated.
     """
     if S.group != inst.group:
         raise ValueError("subset and instance are over different groups")
@@ -207,22 +264,70 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     zero = G.zero()
     members = S.elements
 
-    # last_touch[i]: index of the last generator with a nonzero entry at i
-    last_touch = [-1] * t
-    for k, gen in enumerate(inst.hgens):
-        for i in range(t):
-            if gen[i] != zero:
-                last_touch[i] = k
-    final_at = [[] for _ in range(ngens + 1)]
-    for i in range(t):
-        final_at[last_touch[i] + 1].append(i)
-
     # moves[k]: (coordinate, successor memo) for each nonzero entry of gen k;
     # orders[k]: the order of gen k, the lcm of its entries' orders
     memos = {g: _Successors(G, g) for g in set().union(*inst.hgens)}
     entry_order = {g: G.element_order(g) for g in memos}
     moves = [[(i, memos[g]) for i, g in enumerate(gen) if g != zero] for gen in inst.hgens]
     orders = [math.lcm(*(entry_order[g] for g in set(gen))) for gen in inst.hgens]
+
+    # Walking the generators from the last, suffix[i] stands for those walked
+    # so far that touch coordinate i: None if none does, `capped` once they
+    # have more than `cap` digit tuples, else (group, hits memo).  Suffixes
+    # are interned by (generator, entry, rest), so the walk is linear in the
+    # nonzero entries.  When g_k touches i, i joins the group of the suffix
+    # after g_k at the node for generator k + 1.
+    final_at = [[] for _ in range(ngens + 1)]
+    checks = [[] for _ in range(ngens + 1)]
+    cap = min(G.order, GROUP_CHECK_TUPLES)
+    capped, empty = object(), (None, _InS(members))
+    suffix = [None] * t
+    suffix_of, group_of, hits_of = {}, {}, {}
+    # checks[k]: (write slot, read slot, new members) for each group that the
+    # node for generator k tests.  Its older members have kept their values
+    # since the group's previous check, at an ancestor node, so a check ANDs
+    # the mask that check left in masks[read] with the new members' masks.
+    # Built from the last level, each check writes the slot that its
+    # group's next check reads (slot 0 if none does).
+    masks, reads = [-1], {}
+
+    def add_checks(level, joined):
+        for group, new in joined.items():
+            checks[level].append((reads.get(group, 0), len(masks), new))
+            reads[group] = len(masks)
+            masks.append(-1)
+
+    for k in range(ngens - 1, -1, -1):
+        joined = {}
+        for i, succ in moves[k]:
+            tail = suffix[i]
+            if tail is None:
+                final_at[k + 1].append(i)
+                tail = empty
+            elif tail is capped:
+                continue
+            else:
+                joined.setdefault(tail[0], []).append((i, tail[1]))
+            key = (k, id(succ), id(tail))
+            if key not in suffix_of:
+                group, hits = tail
+                if hits.size * orders[k] > cap:
+                    suffix_of[key] = capped
+                else:
+                    entry = (id(succ), orders[k], id(hits))
+                    if entry not in hits_of:
+                        hits_of[entry] = _Hits(succ, orders[k], hits)
+                    suffix_of[key] = (group_of.setdefault((k, group), len(group_of)),
+                                      hits_of[entry])
+            suffix[i] = suffix_of[key]
+        add_checks(k + 1, joined)
+    joined = {}
+    for i, tail in enumerate(suffix):
+        if tail is None:
+            final_at[0].append(i)
+        elif tail is not capped:
+            joined.setdefault(tail[0], []).append((i, tail[1]))
+    add_checks(0, joined)
     point = list(inst.xstar)
     nodes = 0
 
@@ -234,6 +339,13 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
         for i in final_at[k]:
             if point[i] not in members:
                 return None
+        for write, read, new in checks[k]:
+            mask = masks[read]
+            for i, hits in new:
+                mask &= hits[point[i]]
+                if not mask:
+                    return None
+            masks[write] = mask
         if k == ngens:
             return tuple(stack)
         move = moves[k]

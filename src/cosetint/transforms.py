@@ -95,9 +95,7 @@ def map_instance(inst: ProblemInstance, f: Homomorphism) -> ProblemInstance:
     """Push the instance through an injective homomorphism coordinate-wise."""
     if f.source != inst.group:
         raise ValueError("homomorphism source does not match instance group")
-    zero = f.source.zero()
-    if any(k != zero for k in kernel_of_hom(f).gens):
-        raise ValueError("instance mapping needs an injective homomorphism")
+    check_injective(f)
     image = entry_table((inst.xstar,) + inst.hgens, f.apply)
     return ProblemInstance(
         f.target,
@@ -105,6 +103,12 @@ def map_instance(inst: ProblemInstance, f: Homomorphism) -> ProblemInstance:
         _mapped(image, inst.xstar),
         tuple(_mapped(image, gen) for gen in inst.hgens),
     )
+
+
+def check_injective(f: Homomorphism) -> None:
+    zero = f.source.zero()
+    if any(k != zero for k in kernel_of_hom(f).gens):
+        raise ValueError("instance mapping needs an injective homomorphism")
 
 
 def divideout_lift(inst: ProblemInstance, G: FiniteAbelianGroup,
@@ -154,6 +158,13 @@ def transform_double(inst: ProblemInstance, c: Homomorphism, g: GroupElement) ->
     return ProblemInstance(G, 2 * inst.t, xstar, hgens)
 
 
+def check_pi_from_p(S_prime: SubsetS, enum: Sequence[GroupElement]) -> None:
+    if dilation_core(S_prime).elements != S_prime.elements:
+        raise ValueError("homogenization needs the subset fixed by its dilation core")
+    if frozenset(enum) != S_prime.elements or len(enum) != len(S_prime):
+        raise ValueError("enumeration order must list each subset element once")
+
+
 def pi_from_p(inst: ProblemInstance, S_prime: SubsetS,
               order: Optional[Sequence[GroupElement]] = None) -> ProblemInstance:
     """Fold xstar into one extra generator, pinning it via |S'| extra
@@ -164,11 +175,8 @@ def pi_from_p(inst: ProblemInstance, S_prime: SubsetS,
     G = inst.group
     if S_prime.group != G:
         raise ValueError("subset is over a different group")
-    if dilation_core(S_prime).elements != S_prime.elements:
-        raise ValueError("homogenization needs the subset fixed by its dilation core")
     enum = tuple(order) if order is not None else S_prime.sorted_elements()
-    if frozenset(enum) != S_prime.elements or len(enum) != len(S_prime):
-        raise ValueError("enumeration order must list each subset element once")
+    check_pi_from_p(S_prime, enum)
     span = SubgroupGens(G, enum)
     for e in set(inst.xstar).union(*inst.hgens):
         if subgroup_membership(span, e) is None:
@@ -203,6 +211,11 @@ class GadgetLayout:
         return self.offsets[3] + self.edges.index(e) * 3 + self.colors.index(c)
 
 
+def check_gadget_s01(G: FiniteAbelianGroup) -> None:
+    if G.dim != 1 or G.order < 4:
+        raise ValueError("the {0,1} gadget needs a cyclic group of order at least 4")
+
+
 def gadget_s01(graph: Graph, G: FiniteAbelianGroup) -> Tuple[ProblemInstance, GadgetLayout]:
     """3-colorability front-end for S = {0,1} over a cyclic group of
     order at least 4.
@@ -212,8 +225,7 @@ def gadget_s01(graph: Graph, G: FiniteAbelianGroup) -> Tuple[ProblemInstance, Ga
     digit to {0,1}.  Blocks two and three pin the per-vertex color count
     to exactly one, and the edge block forbids sharing a color.
     """
-    if G.dim != 1 or G.order < 4:
-        raise ValueError("the {0,1} gadget needs a cyclic group of order at least 4")
+    check_gadget_s01(G)
     n = G.order
     vertices = tuple(range(1, graph.n + 1))
     colors = (1, 2, 3)
@@ -257,6 +269,11 @@ def cert_s01(layout: GadgetLayout, coloring: Sequence[int]) -> Certificate:
     )
 
 
+def check_gadget_coloring_full(G: FiniteAbelianGroup) -> None:
+    if G.order < 3:
+        raise ValueError("the full-coloring gadget needs group order at least 3")
+
+
 def gadget_coloring_full(graph: Graph, G: FiniteAbelianGroup) -> ProblemInstance:
     """|G|-colorability front-end for S = G minus zero.
 
@@ -264,8 +281,7 @@ def gadget_coloring_full(graph: Graph, G: FiniteAbelianGroup) -> ProblemInstance
     the component's unit where the vertex is an edge's lower endpoint
     and subtracts it at the higher endpoint.
     """
-    if G.order < 3:
-        raise ValueError("the full-coloring gadget needs group order at least 3")
+    check_gadget_coloring_full(G)
     edges = graph.sorted_edges()
     t = len(edges)
     zero = G.zero()

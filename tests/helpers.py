@@ -310,6 +310,76 @@ def reference_oracle_solve(inst, S, budget=10 ** 8):
     return SolveResult("yes", cert), nodes
 
 
+def reference_order_oracle_solve(inst, S, budget=10 ** 8):
+    """The order-bounded search: model.oracle_solve without its group
+    checks, testing a coordinate only once no remaining generator touches
+    it.  Returns a SolveResult that carries its nodes."""
+    from typing import Optional, Tuple
+
+    from cosetint.model import SolveResult, _BudgetExceeded, _Successors
+
+    if S.group != inst.group:
+        raise ValueError("subset and instance are over different groups")
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    G = inst.group
+    t, ngens = inst.t, len(inst.hgens)
+    zero = G.zero()
+    members = S.elements
+
+    # last_touch[i]: index of the last generator with a nonzero entry at i
+    last_touch = [-1] * t
+    for k, gen in enumerate(inst.hgens):
+        for i in range(t):
+            if gen[i] != zero:
+                last_touch[i] = k
+    final_at = [[] for _ in range(ngens + 1)]
+    for i in range(t):
+        final_at[last_touch[i] + 1].append(i)
+
+    # moves[k]: (coordinate, successor memo) for each nonzero entry of gen k;
+    # orders[k]: the order of gen k, the lcm of its entries' orders
+    memos = {g: _Successors(G, g) for g in set().union(*inst.hgens)}
+    entry_order = {g: G.element_order(g) for g in memos}
+    moves = [[(i, memos[g]) for i, g in enumerate(gen) if g != zero] for gen in inst.hgens]
+    orders = [math.lcm(*(entry_order[g] for g in set(gen))) for gen in inst.hgens]
+    point = list(inst.xstar)
+    nodes = 0
+
+    def dfs(k: int, stack) -> Optional[Tuple[int, ...]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _BudgetExceeded
+        for i in final_at[k]:
+            if point[i] not in members:
+                return None
+        if k == ngens:
+            return tuple(stack)
+        move = moves[k]
+        for digit in range(orders[k]):
+            if digit:
+                for i, succ in move:
+                    point[i] = succ[point[i]]
+            stack.append(digit)
+            found = dfs(k + 1, stack)
+            if found is not None:
+                return found
+            stack.pop()
+        # orders[k] many additions wrap every coordinate back to its start
+        for i, succ in move:
+            point[i] = succ[point[i]]
+        return None
+
+    try:
+        cert = dfs(0, [])
+    except _BudgetExceeded:
+        return SolveResult("budget_exceeded", nodes=nodes)
+    if cert is None:
+        return SolveResult("no", nodes=nodes)
+    return SolveResult("yes", cert, nodes=nodes)
+
+
 def reference_noncoset_witness(S):
     """The full-G scan for the lexicographically smallest non-coset
     witness (s, a, b): s, s+a, s+b in S, a != b, s+a+b outside S."""

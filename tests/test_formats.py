@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cosetint.groups import FiniteAbelianGroup, Homomorphism, SubgroupGens, scaling_hom
 from cosetint.model import ProblemInstance, SubsetS
-from cosetint import formats
+from cosetint import formats, hardness, transforms
 from cosetint.transforms import Graph, complete_graph, gadget_s01
 from cosetint.hardness import (
     DivideOutLift,
@@ -453,3 +453,44 @@ class TestPipelineFormat:
         assert format_pipeline(parse_pipeline(text)).endswith(
             "step: double group=4 rows=(-1) g=(3)\n"
         )
+
+
+STEP_TRANSFORMS = ("gadget_s01", "gadget_coloring_full", "translate_instance", "map_instance",
+                   "divideout_lift", "transform_double", "pi_from_p", "kcol_from_3col")
+
+
+class TestStepChecksRunNoTransform:
+    """Building a step and parsing its line check its parameters without
+    running its transform, so traced transform counters count replay work."""
+
+    @pytest.fixture
+    def transforms_raise(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("a step check ran its transform")
+
+        for module in (transforms, hardness, formats):
+            for name in STEP_TRANSFORMS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, ran)
+
+    def test_every_step_kind_builds_and_parses(self, transforms_raise):
+        pipe = ReductionPipeline(Z4, SubsetS.of(Z4, [(0,), (1,)]), "P",
+                                 tuple(_all_step_kinds()), ())
+        text = format_pipeline(pipe)
+        assert parse_pipeline(text) == pipe
+
+    @pytest.mark.parametrize("line, msg", [
+        ("step: gadget-s01 group=2", "the {0,1} gadget needs a cyclic group of order at least 4"),
+        ("step: gadget-coloring-full group=2",
+         "the full-coloring gadget needs group order at least 3"),
+        ("step: pi-from-p group=4 order=(1),(1)",
+         "enumeration order must list each subset element once"),
+        ("step: pi-from-p group=4 order=(0),(1)",
+         "homogenization needs the subset fixed by its dilation core"),
+        ("step: map-through source=4 target=4 rows=(2)",
+         "instance mapping needs an injective homomorphism"),
+    ])
+    def test_bad_parameters_still_fail(self, transforms_raise, line, msg):
+        with pytest.raises(ParseError) as err:
+            parse_pipeline(f"variant: P\ngroup: 4\nsubset: {{0,1}}\n{line}\n")
+        assert str(err.value) == f"line 4: {msg}"

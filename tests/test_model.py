@@ -21,9 +21,11 @@ from helpers import (
     REPLAY_TARGETS,
     enum_oracle,
     flatten,
+    is_three_colorable,
     random_instance,
     random_subset,
     reference_oracle_solve,
+    reference_order_oracle_solve,
     reference_validate,
     small_groups,
     unflatten,
@@ -254,23 +256,45 @@ class TestOracleSolve:
 
 
 def same_search(inst, S, budget=10 ** 8):
-    """The oracle searches the reference's tree cut down to digits below
-    each generator's order, in the same order.  So wherever the
-    reference decides, the oracle gives the same kind and certificate;
-    it never takes more nodes, and exactly as many when every
-    generator's order is the exponent, where the two trees coincide.
-    Returns (reference nodes, oracle nodes)."""
+    """The order-bounded reference searches the exponent-bounded one's
+    tree cut down to digits below each generator's order, and the oracle
+    searches that tree cut down further by its group checks, all in the
+    same order.  So wherever a reference decides, the oracle gives the
+    same kind and certificate, and it never takes more nodes than the
+    order-bounded reference.  The two references take exactly as many
+    nodes when every generator's order is the exponent, where their trees
+    coincide.  Returns (reference nodes, order-bounded nodes, oracle nodes)."""
     ref, ref_nodes = reference_oracle_solve(inst, S, budget)
+    order = reference_order_oracle_solve(inst, S, budget)
     res = oracle_solve(inst, S, budget)
     where = (inst, sorted(S.elements), budget)
-    if ref.kind != "budget_exceeded":
-        assert (res.kind, res.certificate) == (ref.kind, ref.certificate), where
-    assert res.nodes <= ref_nodes, where
+    for decided in (ref, order):
+        if decided.kind != "budget_exceeded":
+            assert (res.kind, res.certificate) == (decided.kind, decided.certificate), where
+    assert res.nodes <= order.nodes <= ref_nodes, where
     G = inst.group
     orders = [math.lcm(*map(G.element_order, gen)) for gen in inst.hgens]
-    if all(order == G.exponent for order in orders):
-        assert res.nodes == ref_nodes, where
-    return ref_nodes, res.nodes
+    if all(o == G.exponent for o in orders):
+        assert order.nodes == ref_nodes, where
+    return ref_nodes, order.nodes, res.nodes
+
+
+def gnm_graphs(seed, count, colourable, n=10, m=18):
+    """`count` seeded G(n, m) graphs whose 3-colourability is `colourable`."""
+    rng = random.Random(seed)
+    all_edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    graphs = []
+    while len(graphs) < count:
+        graph = Graph.of(n, rng.sample(all_edges, m))
+        if is_three_colorable(graph) == colourable:
+            graphs.append(graph)
+    return graphs
+
+
+def replay_pipeline(target):
+    variant, mods, elems = target
+    G = FiniteAbelianGroup(mods)
+    return compile_hardness(G, SubsetS.of(G, elems), variant, selfcheck=False)
 
 
 class TestOracleMatchesReference:
@@ -283,32 +307,81 @@ class TestOracleMatchesReference:
     def test_random_small_groups(self):
         rng = random.Random(31)
         groups = small_groups(8)
-        budgets_checked = fewer = 0
+        budgets_checked = fewer = pruned = 0
         for trial in range(1200):
             G = rng.choice(groups)
             inst = random_instance(rng, G, max_t=4, max_gens=4)
             S = random_subset(rng, G)
-            nodes, oracle_nodes = same_search(inst, S)
-            fewer += oracle_nodes < nodes
+            nodes, order_nodes, oracle_nodes = same_search(inst, S)
+            fewer += order_nodes < nodes
+            pruned += oracle_nodes < order_nodes
             if trial % 10 == 0:
                 for budget in range(1, nodes + 2):
                     same_search(inst, S, budget)
                 budgets_checked += 1
         assert budgets_checked == 120
-        assert fewer > 20  # the cut-down tree is sometimes strictly smaller
+        # each cut-down tree is sometimes strictly smaller
+        assert fewer > 20
+        assert pruned > 100
 
     def test_replay_targets_on_gnm_graphs(self):
         rng = random.Random(18)
         all_edges = [(u, v) for u in range(1, 11) for v in range(u + 1, 11)]
         graphs = [Graph.of(10, rng.sample(all_edges, 18)) for _ in range(3)]
-        kinds = set()
-        for variant, mods, elems in REPLAY_TARGETS:
-            G = FiniteAbelianGroup(mods)
-            pipe = compile_hardness(G, SubsetS.of(G, elems), variant, selfcheck=False)
+        for target in REPLAY_TARGETS:
+            pipe = replay_pipeline(target)
             for graph in graphs:
                 inst, _ = apply_pipeline(pipe, graph)
                 same_search(inst, pipe.subset, budget=5 * 10 ** 4)
-                kinds.add((mods, oracle_solve(inst, pipe.subset, budget=5 * 10 ** 4).kind))
-        # the divide-out target exceeds the budget; both answers occur elsewhere
-        assert ((6,), "budget_exceeded") in kinds
-        assert {k for _, k in kinds} == {"yes", "no", "budget_exceeded"}
+                want = "yes" if is_three_colorable(graph) else "no"
+                res = oracle_solve(inst, pipe.subset, budget=5 * 10 ** 4)
+                if res.kind == "budget_exceeded":
+                    # only the divide-out target's no graphs take longer, 55,339
+                    # and 115,171 nodes; the order bound alone decides none of
+                    # its three graphs within 5e4
+                    assert target == REPLAY_TARGETS[5] and want == "no"
+                    res = oracle_solve(inst, pipe.subset, budget=2 * 10 ** 5)
+                assert res.kind == want
+
+
+class TestGroupCheck:
+    """The checks that decide what the order bound alone leaves undecided,
+    and the cap that keeps their tables small."""
+
+    def test_non_colourable_graphs_over_z2_z2(self):
+        # on Z_2 x Z_2 every generator's order is the exponent, so only the
+        # group checks cut the tree; the order-bounded search spends its budget
+        pipe = replay_pipeline(REPLAY_TARGETS[2])
+        assert pipe.group.moduli == (2, 2)
+        exceeded = 0
+        for graph in gnm_graphs(3, 4, colourable=False):
+            inst, _ = apply_pipeline(pipe, graph)
+            assert oracle_solve(inst, pipe.subset, budget=5 * 10 ** 4).kind == "no"
+            order = reference_order_oracle_solve(inst, pipe.subset, budget=5 * 10 ** 4)
+            exceeded += order.kind == "budget_exceeded"
+        assert exceeded >= 1
+
+    @pytest.mark.parametrize("modulus, nodes", [(2 ** 7, 1), (2 ** 8, 129)])
+    def test_cap_on_digit_tuples(self, modulus, nodes):
+        # (2) has order 64 in Z_128, at the cap, and the root's check sees that
+        # no multiple moves 1 onto 0; in Z_256 its order 128 is past the cap,
+        # and the search tries every digit
+        G = FiniteAbelianGroup((modulus,))
+        res = oracle_solve(ProblemInstance(G, 1, ((1,),), (((2,),),)), SubsetS.of(G, [(0,)]))
+        assert (res.kind, res.nodes) == ("no", nodes)
+
+    def test_no_table_at_max_order(self, monkeypatch):
+        G = FiniteAbelianGroup((2 ** 20,))
+        calls = 0
+        add = FiniteAbelianGroup.add
+
+        def counting_add(self, x, y):
+            nonlocal calls
+            calls += 1
+            return add(self, x, y)
+
+        monkeypatch.setattr(FiniteAbelianGroup, "add", counting_add)
+        inst = ProblemInstance(G, 2, ((0,), (3,)), (((1,), (1,)),))
+        assert oracle_solve(inst, SubsetS.of(G, [(5,), (8,)])) == SolveResult("yes", (5,))
+        assert oracle_solve(inst, SubsetS.of(G, [(7,)]), budget=1000).kind == "budget_exceeded"
+        assert calls < 2000
