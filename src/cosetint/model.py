@@ -3,12 +3,19 @@
 The decision problem: given a coset xstar + H of a subgroup H <= G^t,
 does it meet S^t?  The homogeneous variant fixes xstar = 0.  The oracle
 here is deliberately naive (pruned exhaustive search over each
-generator's multiples 0 .. ord(g) - 1) -- it is the ground truth that
-every polynomial solver and every reduction is tested against, so it
-must be simple enough to trust by inspection.  Its one pruning rule: the
-coordinates that the same remaining generators R still move form a
-group, and a node fails when no digit tuple of R puts the whole group
-into S.  With R empty that is the test of a finished coordinate.
+generator's multiples) -- it is the ground truth that every polynomial
+solver and every reduction is tested against, so it must be simple
+enough to trust by inspection.  Its one pruning rule: the coordinates
+that the same remaining generators R still move form a group, and a node
+fails when no digit tuple of R puts the whole group into S.  With R empty
+that is the test of a finished coordinate.
+
+Before the search, a presolve that keeps the search order and the
+smallest certificate: while the second half of the coordinates is the
+first half under x -> c*x + g for c = +1 or -1 (the shape that
+`transforms.transform_double` gives), the second half is dropped and S
+becomes S intersect c^-1(S - g); and generator k's digits run only below
+its order modulo K^t, where K = {k : S + k = S} is the stabilizer of S.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from .groups import FiniteAbelianGroup, GroupElement
+from .groups import FiniteAbelianGroup, GroupElement, _prime_power_pieces
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -186,7 +193,7 @@ class _Hits(dict):
     x into S, for one coordinate's entries over R, filled on demand.
 
     The entry of R's first generator is `succ.g`, `order` is that
-    generator's order, and `tail` holds the hits of the rest of R (an
+    generator's digit bound, and `tail` holds the hits of the rest of R (an
     `_InS` when R has one generator).  Tuples are numbered in mixed radix
     with the first digit most significant, so every coordinate with the
     same R numbers them alike and the masks of a group can be ANDed."""
@@ -224,52 +231,106 @@ class _InS(dict):
 GROUP_CHECK_TUPLES = 64
 
 
+def _undouble(G: FiniteAbelianGroup, xstar, hgens, members: frozenset):
+    """Undo doublings x -> (x, c*x + g) with c = +1 or -1 while t is even.
+
+    When every generator's second half is c times its first half and
+    xstar's second half is c times its first half plus one constant g,
+    coordinate h + i is c * (coordinate i) + g at every point of the
+    coset, so both lie in S iff coordinate i lies in S intersect
+    c^-1(S - g).  The two also share their remaining generators, so the
+    search over the first half against that subset makes every decision
+    of the search over both halves.  Returns (xstar, hgens, members).
+    """
+    while xstar and len(xstar) % 2 == 0:
+        h = len(xstar) // 2
+        entries = set(xstar).union(*hgens)
+        for c in (1, -1):
+            image = {e: G.scale(c, e) for e in entries}
+            if all(image[a] == b for gen in hgens for a, b in zip(gen, gen[h:])):
+                shifts = {G.sub(y, image[x]) for x, y in zip(xstar, xstar[h:])}
+                if len(shifts) == 1:
+                    break
+        else:
+            return xstar, hgens, members
+        (g,) = shifts
+        members = frozenset(x for x in members if G.add(G.scale(c, x), g) in members)
+        xstar, hgens = xstar[:h], tuple(gen[:h] for gen in hgens)
+    return xstar, hgens, members
+
+
+def _period(G: FiniteAbelianGroup, e: GroupElement, members: frozenset) -> int:
+    """The least divisor d of ord(e) with S + d*e = S.
+
+    Those d are the multiples of the least one, so it is found by
+    dividing ord(e) by each of its primes while the quotient still
+    fixes S; each test is one pass over S that stops at its first miss.
+    """
+    d = G.element_order(e)
+    for p, _ in _prime_power_pieces(d):
+        while d % p == 0:
+            step = G.scale(d // p, e)
+            if not all(G.add(s, step) in members for s in members):
+                break
+            d //= p
+    return d
+
+
 def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exhaustive pruned DFS over coefficient digits, generator k's digit
-    in [0, ord(g_k)).  A larger digit c reaches the same point as
-    c - ord(g_k), which is lexicographically smaller, so no certificate
-    is lost and the smallest one keeps every digit below its order.
+    in [0, r_k), after a presolve of the instance.
+
+    The presolve first undoes doublings (`_undouble`): while t is even and
+    the second half of every generator and of xstar is the first half
+    under x -> c*x + g with c = +1 or -1, the search runs over the first
+    half against S intersect c^-1(S - g), and makes the same decisions.
+    Then r_k is the order of g_k modulo K^t, where K = {k : S + k = S}:
+    the lcm over g_k's distinct entries e of the least divisor d of
+    ord(e) with S + d*e = S (`_period`).  S is K-periodic, so a digit c
+    reaches the same memberships as c mod r_k, which is no larger; no
+    certificate is lost and the smallest one keeps every digit below r_k.
+    Neither part lists G or K, and neither changes the search order.
 
     At the node for generator k, coordinate i's remaining generators are
     R = {j >= k : g_j[i] != 0}, and the coordinates with equal R form a
     group that only R's digits can still move.  The node fails when some
-    group has no digit tuple (c_j < ord(g_j))_{j in R} putting every one
-    of its coordinates into S.  The root checks every group; the node
-    below generator k - 1 checks the groups that g_{k-1} changed.  For
-    R empty this is the test of a coordinate once no remaining generator
-    can change it.  A group is skipped when R has more than
+    group has no digit tuple (c_j < r_j)_{j in R} putting every one of
+    its coordinates into S.  The root checks every group; the node below
+    generator k - 1 checks the groups that g_{k-1} changed.  For R empty
+    this is the test of a coordinate once no remaining generator can
+    change it.  A group is skipped when R has more than
     min(|G|, GROUP_CHECK_TUPLES) digit tuples.  A failing node has no
     certificate below it, so the search visits a subtree of the plain
     DFS in the same order.
 
     Digits are tried in ascending order with generators in given order,
     which makes the first certificate found the lexicographically
-    smallest one.  Every call of the search is one node and counts
-    against the budget; the result carries the count (budget + 1 when
-    the budget is exceeded).
+    smallest one.  Every call of the presolved search is one node and
+    counts against the budget; the result carries the count (budget + 1
+    when the budget is exceeded).
 
     The running point is a list of element tuples.  Adding generator
     entry g to a coordinate reads a successor memo x -> x + g, one dict
     per distinct entry, filled as the search first takes each step.  A
     group check ANDs per-coordinate bitmasks of the digit tuples that
-    land in S (`_Hits`), one memo per distinct run of entries and orders,
-    also filled on demand, so nothing of size |G| is allocated.
+    land in S (`_Hits`), one memo per distinct run of entries and digit
+    bounds, also filled on demand, so nothing of size |G| is allocated.
     """
     if S.group != inst.group:
         raise ValueError("subset and instance are over different groups")
     if budget < 1:
         raise ValueError("budget must be positive")
     G = inst.group
-    t, ngens = inst.t, len(inst.hgens)
+    xstar, hgens, members = _undouble(G, inst.xstar, inst.hgens, S.elements)
+    t, ngens = len(xstar), len(hgens)
     zero = G.zero()
-    members = S.elements
 
     # moves[k]: (coordinate, successor memo) for each nonzero entry of gen k;
-    # orders[k]: the order of gen k, the lcm of its entries' orders
-    memos = {g: _Successors(G, g) for g in set().union(*inst.hgens)}
-    entry_order = {g: G.element_order(g) for g in memos}
-    moves = [[(i, memos[g]) for i, g in enumerate(gen) if g != zero] for gen in inst.hgens]
-    orders = [math.lcm(*(entry_order[g] for g in set(gen))) for gen in inst.hgens]
+    # orders[k]: the order of gen k modulo K^t, the lcm of its entries' periods
+    memos = {g: _Successors(G, g) for g in set().union(*hgens)}
+    period = {g: _period(G, g, members) for g in memos}
+    moves = [[(i, memos[g]) for i, g in enumerate(gen) if g != zero] for gen in hgens]
+    orders = [math.lcm(*(period[g] for g in set(gen))) for gen in hgens]
 
     # Walking the generators from the last, suffix[i] stands for those walked
     # so far that touch coordinate i: None if none does, `capped` once they
@@ -328,7 +389,7 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
         elif tail is not capped:
             joined.setdefault(tail[0], []).append((i, tail[1]))
     add_checks(0, joined)
-    point = list(inst.xstar)
+    point = list(xstar)
     nodes = 0
 
     def dfs(k: int, stack) -> Optional[Tuple[int, ...]]:
@@ -349,6 +410,7 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
         if k == ngens:
             return tuple(stack)
         move = moves[k]
+        saved = [point[i] for i, _ in move]
         for digit in range(orders[k]):
             if digit:
                 for i, succ in move:
@@ -358,15 +420,17 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
             if found is not None:
                 return found
             stack.pop()
-        # orders[k] many additions wrap every coordinate back to its start
-        for i, succ in move:
-            point[i] = succ[point[i]]
+        for (i, _), x in zip(move, saved):
+            point[i] = x
         return None
 
     try:
         cert = dfs(0, [])
     except _BudgetExceeded:
         return SolveResult("budget_exceeded", nodes=nodes)
+    finally:
+        # dfs refers to itself, so its tables would wait for the cycle collector
+        del dfs
     if cert is None:
         return SolveResult("no", nodes=nodes)
     return SolveResult("yes", cert, nodes=nodes)

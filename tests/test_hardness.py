@@ -290,6 +290,28 @@ class TestCompileSweep:
                 count += 1
         assert count > 10
 
+    def test_divide_out_targets_past_order_six(self):
+        # each K4 instance of these pipelines is doubled around a divide-out,
+        # and the fixed subset left by undoubling is periodic, so the oracle's
+        # presolve decides it within SWEEP_BUDGET
+        Z8 = FiniteAbelianGroup((8,))
+        elems = list(Z8.elements())
+        pipes = []
+        for bits in range(2 ** len(elems)):
+            S = SubsetS.of(Z8, [e for i, e in enumerate(elems) if bits >> i & 1])
+            if classify_affine(Z8, S).verdict != NP_COMPLETE:
+                continue
+            pipe = compile_hardness_P(Z8, S, selfcheck=False)
+            if any(isinstance(step, DivideOutLift) for step in pipe.steps):
+                pipes.append(pipe)
+        assert len(pipes) == 14
+        for mods, S in (((10,), (0, 1, 5, 6)), ((10,), (0, 1, 4, 5, 6)), ((12,), (0, 1, 6, 7))):
+            G = FiniteAbelianGroup(mods)
+            pipes.append(compile_hardness_P(G, SubsetS.of(G, [(e,) for e in S]),
+                                            selfcheck=False))
+        for pipe in pipes:
+            run_selfcheck(pipe, budget=SWEEP_BUDGET)
+
     def test_ten_generators_over_z6_stop_at_their_orders(self):
         # seven of the K4 instance's ten generators have order 2 or 3, so
         # the search box holds 3 * 6^3 * 2^6 leaves rather than 6^10
