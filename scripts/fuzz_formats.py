@@ -2,7 +2,8 @@
 
 Round-trips random groups, subsets, instances, graphs, and compiled
 pipelines through the serializers; any mismatch prints the offending value
-and exits nonzero.
+and exits nonzero.  Every other instance is also rebuilt with each cell a
+fresh object of equal value, which must format to the same text.
 """
 
 import argparse
@@ -49,7 +50,14 @@ def main(argv=None) -> int:
             tuple(tuple(rng.choice(elems) for _ in range(t))
                   for _ in range(rng.randint(0, 4))),
         )
-        assert formats.parse_instance(formats.format_instance(inst)) == inst, inst
+        text = formats.format_instance(inst)
+        assert formats.parse_instance(text) == inst, inst
+        if i % 2:
+            fresh = ProblemInstance(
+                G, t, [tuple(list(e)) for e in inst.xstar],
+                [[tuple(list(e)) for e in gen] for gen in inst.hgens],
+            )
+            assert fresh == inst and formats.format_instance(fresh) == text, inst
 
         n = rng.randint(1, 9)
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)

@@ -7,9 +7,10 @@ value; formatting a parsed file reproduces it byte for byte as long as it
 was canonical to begin with.
 
 Instance files repeat a few group elements in many cells.  The instance
-serializer formats each distinct entry object once, and the instance
-parser parses and checks each distinct element token once, through a
-table that lives for one call; every cell is then a lookup.
+serializer formats each of the instance's distinct entries
+(`ProblemInstance.entries`) once, and the instance parser parses and
+checks each distinct element token once, through a table that lives for
+one call; every cell is then a lookup by value.
 """
 
 from __future__ import annotations
@@ -190,10 +191,10 @@ def parse_subset(G: FiniteAbelianGroup, text: str) -> SubsetS:
 
 
 def format_instance(inst: ProblemInstance, header: Sequence[str] = ()) -> str:
-    texts = entry_table((inst.xstar,) + inst.hgens, format_element)
+    texts = entry_table(inst, format_element)
 
     def row_text(row) -> str:
-        return " ".join(map(texts.__getitem__, map(id, row)))
+        return " ".join(map(texts.__getitem__, row))
 
     lines = [f"# {h}" for h in header]
     lines.append(f"group: {format_group(inst.group)}")

@@ -10,6 +10,10 @@ that the same remaining generators R still move form a group, and a node
 fails when no digit tuple of R puts the whole group into S.  With R empty
 that is the test of a finished coordinate.
 
+An instance checks each distinct entry object once and keeps the distinct
+values (`ProblemInstance.entries`): the layers above compute once per entry,
+and each cell, a validated tuple of ints, looks its result up by value.
+
 Before the search, a presolve that keeps the search order and the
 smallest certificate: while the second half of the coordinates is the
 first half under x -> c*x + g for c = +1 or -1 (the shape that
@@ -29,25 +33,6 @@ from .groups import FiniteAbelianGroup, GroupElement, _prime_power_pieces
 DEFAULT_BUDGET = 10 ** 8
 
 Certificate = Tuple[int, ...]
-
-
-def distinct_entries(rows: Sequence[Sequence[GroupElement]]) -> Dict[int, GroupElement]:
-    """id(e) -> e for each distinct entry object of the rows.
-
-    Distinct means a distinct object, not a distinct value: (1,) and
-    (1.0,) are equal but are two entries here.  The ids stay unique only
-    while the rows hold the objects, so the result must not outlive them.
-    """
-    entries: Dict[int, GroupElement] = {}
-    for row in rows:
-        entries.update(zip(map(id, row), row))
-    return entries
-
-
-def entry_table(rows: Sequence[Sequence[GroupElement]], f) -> Dict[int, object]:
-    """id(e) -> f(e), computed once per distinct entry object of the rows.
-    Like `distinct_entries`, it must not outlive the rows."""
-    return {key: f(e) for key, e in distinct_entries(rows).items()}
 
 
 @dataclass(frozen=True)
@@ -95,25 +80,30 @@ class ProblemInstance:
     (1,), is still checked and rejected).  When a check fails, a
     cell-by-cell pass names the first error in cell order: xstar's
     length, its first bad entry, then each generator's length and its
-    first bad entry.
+    first bad entry.  `entries` lists the distinct cell values in
+    first-seen order, from that scan; it is not part of eq, hash or repr.
     """
 
     group: FiniteAbelianGroup
     t: int
     xstar: Tuple[GroupElement, ...]
     hgens: Tuple[Tuple[GroupElement, ...], ...]
+    entries: Tuple[GroupElement, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("t must be nonnegative")
         xstar = tuple(map(tuple, self.xstar))
         hgens = tuple(tuple(map(tuple, gen)) for gen in self.hgens)
-        entries = distinct_entries((xstar,) + hgens)
+        objects: Dict[int, GroupElement] = {}
+        for row in (xstar,) + hgens:
+            objects.update(zip(map(id, row), row))
         if (len(xstar) != self.t or any(len(gen) != self.t for gen in hgens)
-                or not all(map(self.group.contains, entries.values()))):
+                or not all(map(self.group.contains, objects.values()))):
             raise ValueError(self._first_error(xstar, hgens))
         object.__setattr__(self, "xstar", xstar)
         object.__setattr__(self, "hgens", hgens)
+        object.__setattr__(self, "entries", tuple(dict.fromkeys(objects.values())))
 
     def _first_error(self, xstar, hgens) -> Optional[str]:
         """The complaint of a cell-by-cell check, which runs only once a
@@ -134,6 +124,12 @@ class ProblemInstance:
     def is_homogeneous(self) -> bool:
         zero = self.group.zero()
         return all(e == zero for e in self.xstar)
+
+
+def entry_table(inst: ProblemInstance, f) -> Dict[GroupElement, object]:
+    """e -> f(e) for each distinct entry e of the instance.  Every cell is a
+    validated tuple of ints, so a cell looks up its image by value."""
+    return {e: f(e) for e in inst.entries}
 
 
 @dataclass(frozen=True)
@@ -231,7 +227,7 @@ class _InS(dict):
 GROUP_CHECK_TUPLES = 64
 
 
-def _undouble(G: FiniteAbelianGroup, xstar, hgens, members: frozenset):
+def _undouble(G: FiniteAbelianGroup, xstar, hgens, members: frozenset, entries):
     """Undo doublings x -> (x, c*x + g) with c = +1 or -1 while t is even.
 
     When every generator's second half is c times its first half and
@@ -240,11 +236,11 @@ def _undouble(G: FiniteAbelianGroup, xstar, hgens, members: frozenset):
     coset, so both lie in S iff coordinate i lies in S intersect
     c^-1(S - g).  The two also share their remaining generators, so the
     search over the first half against that subset makes every decision
-    of the search over both halves.  Returns (xstar, hgens, members).
+    of the search over both halves.  `entries` covers every cell.
+    Returns (xstar, hgens, members).
     """
     while xstar and len(xstar) % 2 == 0:
         h = len(xstar) // 2
-        entries = set(xstar).union(*hgens)
         for c in (1, -1):
             image = {e: G.scale(c, e) for e in entries}
             if all(image[a] == b for gen in hgens for a, b in zip(gen, gen[h:])):
@@ -321,16 +317,17 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     if budget < 1:
         raise ValueError("budget must be positive")
     G = inst.group
-    xstar, hgens, members = _undouble(G, inst.xstar, inst.hgens, S.elements)
+    xstar, hgens, members = _undouble(G, inst.xstar, inst.hgens, S.elements, inst.entries)
     t, ngens = len(xstar), len(hgens)
     zero = G.zero()
 
     # moves[k]: (coordinate, successor memo) for each nonzero entry of gen k;
-    # orders[k]: the order of gen k modulo K^t, the lcm of its entries' periods
-    memos = {g: _Successors(G, g) for g in set().union(*hgens)}
-    period = {g: _period(G, g, members) for g in memos}
+    # orders[k]: the order of gen k modulo K^t, the lcm of its moved entries' periods
+    memos = {g: _Successors(G, g) for g in inst.entries}
     moves = [[(i, memos[g]) for i, g in enumerate(gen) if g != zero] for gen in hgens]
-    orders = [math.lcm(*(period[g] for g in set(gen))) for gen in hgens]
+    moved = [{succ.g for _, succ in move} for move in moves]
+    period = {g: _period(G, g, members) for g in set().union(*moved)}
+    orders = [math.lcm(*map(period.__getitem__, gs)) for gs in moved]
 
     # Walking the generators from the last, suffix[i] stands for those walked
     # so far that touch coordinate i: None if none does, `capped` once they

@@ -7,9 +7,9 @@ one reduces 3-colorability to S = {0,1} over a cyclic group of order at
 least 4, the other reduces |G|-colorability to S = G minus zero.
 
 An instance holds a few distinct group elements in many cells, so the
-transformers compute the image of each distinct entry object once and
-map the cells through that table, and the gadgets fill their cells with
-a few shared element objects.
+transformers compute the image of each of the instance's distinct entries
+(`ProblemInstance.entries`) once and map the cells through that table by
+value, and the gadgets fill their cells with a few shared element objects.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def phi_fixed_subset(S: SubsetS, c: Homomorphism, g: GroupElement) -> SubsetS:
     return SubsetS(G, frozenset(x for x in S.elements if G.add(c.apply(x), g) in S))
 
 
-def _mapped(table: Dict[int, GroupElement], row: Sequence[GroupElement]):
-    return tuple(map(table.__getitem__, map(id, row)))
+def _mapped(table: Dict[GroupElement, GroupElement], row: Sequence[GroupElement]):
+    return tuple(map(table.__getitem__, row))
 
 
 def translate_instance(inst: ProblemInstance, g: GroupElement) -> ProblemInstance:
@@ -87,7 +87,7 @@ def translate_instance(inst: ProblemInstance, g: GroupElement) -> ProblemInstanc
     G = inst.group
     if not G.contains(g):
         raise ValueError(f"{g} not in group {G}")
-    shifted = entry_table((inst.xstar,), lambda x: G.add(x, g))
+    shifted = entry_table(inst, lambda x: G.add(x, g))
     return ProblemInstance(G, inst.t, _mapped(shifted, inst.xstar), inst.hgens)
 
 
@@ -96,7 +96,7 @@ def map_instance(inst: ProblemInstance, f: Homomorphism) -> ProblemInstance:
     if f.source != inst.group:
         raise ValueError("homomorphism source does not match instance group")
     check_injective(f)
-    image = entry_table((inst.xstar,) + inst.hgens, f.apply)
+    image = entry_table(inst, f.apply)
     return ProblemInstance(
         f.target,
         inst.t,
@@ -125,7 +125,7 @@ def divideout_lift(inst: ProblemInstance, G: FiniteAbelianGroup,
     if inst.group != qmap.group:
         raise ValueError("instance is not over the quotient of G by K")
     t = inst.t
-    lift = entry_table((inst.xstar,) + inst.hgens, qmap.lift)
+    lift = entry_table(inst, qmap.lift)
     xstar = _mapped(lift, inst.xstar)
     lifted = [_mapped(lift, gen) for gen in inst.hgens]
     zero = G.zero()
@@ -151,8 +151,8 @@ def transform_double(inst: ProblemInstance, c: Homomorphism, g: GroupElement) ->
         raise ValueError("doubling needs an endomorphism of the instance group")
     if not G.contains(g):
         raise ValueError(f"{g} not in group {G}")
-    image = entry_table((inst.xstar,) + inst.hgens, c.apply)
-    shifted = entry_table((inst.xstar,), lambda x: G.add(image[id(x)], g))
+    image = entry_table(inst, c.apply)
+    shifted = entry_table(inst, lambda x: G.add(image[x], g))
     xstar = inst.xstar + _mapped(shifted, inst.xstar)
     hgens = tuple(gen + _mapped(image, gen) for gen in inst.hgens)
     return ProblemInstance(G, 2 * inst.t, xstar, hgens)
@@ -178,7 +178,7 @@ def pi_from_p(inst: ProblemInstance, S_prime: SubsetS,
     enum = tuple(order) if order is not None else S_prime.sorted_elements()
     check_pi_from_p(S_prime, enum)
     span = SubgroupGens(G, enum)
-    for e in set(inst.xstar).union(*inst.hgens):
+    for e in inst.entries:
         if subgroup_membership(span, e) is None:
             raise ValueError("instance data must lie in the span of the subset")
     n = len(enum)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,8 +14,27 @@ from cosetint.groups import (
     scaling_hom,
     subgroup_enumerate,
 )
-from cosetint.hardness import apply_pipeline, compile_hardness
-from cosetint.transforms import Graph, phi_fixed_subset, transform_double
+from cosetint.formats import format_instance
+from cosetint.hardness import (
+    DivideOutLift,
+    GadgetColoringFull,
+    GadgetS01,
+    MapThrough,
+    PiFromP,
+    TransformDouble,
+    Translate,
+    apply_pipeline,
+    apply_steps_to_instance,
+    compile_hardness,
+)
+from cosetint.transforms import (
+    Graph,
+    complete_graph,
+    gadget_coloring_full,
+    gadget_s01,
+    phi_fixed_subset,
+    transform_double,
+)
 from cosetint.model import (
     ProblemInstance,
     SolveResult,
@@ -92,7 +113,22 @@ def validation_error(G, t, xstar, hgens):
     inst = ProblemInstance(G, t, xstar, hgens)
     # repr tells True from 1, so the entries come out exactly as they went in
     assert repr((inst.xstar, inst.hgens)) == repr((ref_xstar, ref_hgens))
+    distinct = []
+    for e in ref_xstar + tuple(e for gen in ref_hgens for e in gen):
+        if e not in distinct:
+            distinct.append(e)
+    assert repr(inst.entries) == repr(tuple(distinct))
+    # entries is derived: equal cells held by other objects give an equal instance
+    copies = fresh_cells(inst)
+    assert copies == inst and hash(copies) == hash(inst)
+    assert "entries" not in repr(inst)
     return None
+
+
+def fresh_cells(inst):
+    """The instance rebuilt with every cell a new tuple object of equal value."""
+    return ProblemInstance(inst.group, inst.t, [tuple(list(e)) for e in inst.xstar],
+                           [[tuple(list(e)) for e in gen] for gen in inst.hgens])
 
 
 class TestValidationPerDistinctEntry:
@@ -151,6 +187,53 @@ class TestValidationPerDistinctEntry:
                          for _ in range(rng.randrange(4))]
                 rejected += validation_error(G, t, xstar, hgens) is not None
             assert 50 < rejected < 350
+
+
+class TestEqualValuesInDistinctObjects:
+    """Per-entry tables are keyed by value, so an instance whose every cell
+    is its own object, or a deep or pickled copy, gives the results of the
+    instance whose cells share a few objects."""
+
+    STEP_KINDS = {Translate, MapThrough, DivideOutLift, TransformDouble, PiFromP}
+
+    @staticmethod
+    def variants(inst):
+        fresh = fresh_cells(inst)
+        cells = [e for row in (fresh.xstar,) + fresh.hgens for e in row]
+        if inst.group.dim:
+            assert len(set(map(id, cells))) == len(cells)
+        return [fresh, copy.deepcopy(inst), pickle.loads(pickle.dumps(inst)),
+                copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))]
+
+    def test_formats_transforms_and_oracle_agree(self):
+        seen = set()
+        for variant, mods, elems in REPLAY_TARGETS:
+            G = FiniteAbelianGroup(mods)
+            S = SubsetS.of(G, elems)
+            pipe = compile_hardness(G, S, variant, selfcheck=False)
+            # the gadget's output (shared cells) on the 4-clique, a no graph
+            i = next(i for i, step in enumerate(pipe.steps)
+                     if isinstance(step, (GadgetS01, GadgetColoringFull)))
+            gadget = pipe.steps[i]
+            if isinstance(gadget, GadgetS01):
+                inst = gadget_s01(complete_graph(4), gadget.group)[0]
+            else:
+                inst = gadget_coloring_full(complete_graph(gadget.group.order + 1),
+                                            gadget.group)
+            for step in pipe.steps[i + 1:]:
+                out = apply_steps_to_instance([step], inst)[0]
+                for other in self.variants(inst):
+                    assert format_instance(other) == format_instance(inst)
+                    got = apply_steps_to_instance([step], other)[0]
+                    assert got == out and got.entries == out.entries, step
+                    assert format_instance(got) == format_instance(out), step
+                seen.add(type(step))
+                inst = out
+            want = oracle_solve(inst, S)
+            for other in self.variants(inst):
+                got = oracle_solve(other, S)
+                assert (got, got.nodes) == (want, want.nodes), (variant, mods, elems)
+        assert seen == self.STEP_KINDS
 
 
 class TestVerifyCertificate:
@@ -434,7 +517,7 @@ class TestPresolve:
         res = oracle_solve(twice, S)
         assert (res, res.nodes) == (fixed, fixed.nodes)
         members = phi_fixed_subset(inner, scaling_hom(Z6, -1), (3,)).elements
-        assert _undouble(Z6, twice.xstar, twice.hgens, S.elements) == (
+        assert _undouble(Z6, twice.xstar, twice.hgens, S.elements, twice.entries) == (
             inst.xstar, inst.hgens, members)
 
     def test_periodic_subsets(self):
