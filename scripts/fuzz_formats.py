@@ -3,7 +3,11 @@
 Round-trips random groups, subsets, instances, graphs, and compiled
 pipelines through the serializers; any mismatch prints the offending value
 and exits nonzero.  Every other instance is also rebuilt with each cell a
-fresh object of equal value, which must format to the same text.
+fresh object of equal value, which must format to the same text.  Each
+compiled pipeline is replayed on the round's random graph, and the replayed
+instance, whose cells the transforms check only where they are new, must
+equal the public constructor's instance on the same rows, list the same
+entries, and survive a format/parse round trip.
 """
 
 import argparse
@@ -16,6 +20,7 @@ from cosetint import (
     NP_COMPLETE,
     ProblemInstance,
     SubsetS,
+    apply_pipeline,
     classify_affine,
     compile_hardness_P,
     formats,
@@ -73,6 +78,12 @@ def main(argv=None) -> int:
             assert back == pipe, text
             assert formats.format_pipeline(back) == text, text
             compiled += 1
+
+            inst, _ = apply_pipeline(pipe, g)
+            public = ProblemInstance(inst.group, inst.t, inst.xstar, inst.hgens)
+            assert public == inst and public.entries == inst.entries, text
+            reparsed = formats.parse_instance(formats.format_instance(inst))
+            assert reparsed == inst and reparsed.entries == inst.entries, text
 
         if (i + 1) % 500 == 0:
             print(f"{i + 1} rounds, {compiled} pipelines round-tripped")

@@ -10,7 +10,8 @@ Instance files repeat a few group elements in many cells.  The instance
 serializer formats each of the instance's distinct entries
 (`ProblemInstance.entries`) once, and the instance parser parses and
 checks each distinct element token once, through a table that lives for
-one call; every cell is then a lookup by value.
+one call; every cell is then a lookup by value, and the instance is built
+by `ProblemInstance._derived` without checking its cells again.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def parse_instance(text: str) -> ProblemInstance:
             _fail(f"unexpected line key {key!r}", lineno)
         hgens.append(_split_elements(G, rest, lineno, parsed))
     try:
-        return ProblemInstance(G, t, xstar, tuple(hgens))
+        return ProblemInstance._derived(G, t, xstar, tuple(hgens), parsed.values())
     except ValueError as e:
         raise ParseError(str(e)) from e
 

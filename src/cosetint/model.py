@@ -10,9 +10,13 @@ that the same remaining generators R still move form a group, and a node
 fails when no digit tuple of R puts the whole group into S.  With R empty
 that is the test of a finished coordinate.
 
-An instance checks each distinct entry object once and keeps the distinct
-values (`ProblemInstance.entries`): the layers above compute once per entry,
-and each cell, a validated tuple of ints, looks its result up by value.
+Each cell object of an instance is checked once, where it enters: input
+from outside the package per object at the public constructor, parsed input
+per distinct token (`formats.parse_element`), and transform or gadget output
+per new object (`ProblemInstance._derived`); a cell copied from an instance
+is not checked again.  An instance keeps its distinct values
+(`ProblemInstance.entries`): the layers above compute once per entry, and
+each cell, a validated tuple of ints, looks its result up by value.
 
 Before the search, a presolve that keeps the search order and the
 smallest certificate: while the second half of the coordinates is the
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Optional, Sequence, Tuple
 
 from .groups import FiniteAbelianGroup, GroupElement, _prime_power_pieces
@@ -74,14 +79,17 @@ class SubsetS:
 class ProblemInstance:
     """(t, xstar, hgens) over a base group; hgens generate H <= G^t.
 
-    Every entry is normalized to a tuple and checked to be an element of
-    the group, once per distinct entry object (keyed by `id`, so an entry
+    The public constructor is for input from outside the package.  Every
+    entry is normalized to a tuple and checked to be an element of the
+    group, once per distinct entry object (keyed by `id`, so an entry
     equal to a checked one but of another type, such as (1.0,) after
     (1,), is still checked and rejected).  When a check fails, a
     cell-by-cell pass names the first error in cell order: xstar's
     length, its first bad entry, then each generator's length and its
-    first bad entry.  `entries` lists the distinct cell values in
-    first-seen order, from that scan; it is not part of eq, hash or repr.
+    first bad entry.  Rows built inside the package go through
+    `_derived`, which checks only the objects they add.  `entries` lists
+    the distinct cell values in first-seen order; it is not part of eq,
+    hash or repr.
     """
 
     group: FiniteAbelianGroup
@@ -104,6 +112,23 @@ class ProblemInstance:
         object.__setattr__(self, "xstar", xstar)
         object.__setattr__(self, "hgens", hgens)
         object.__setattr__(self, "entries", tuple(dict.fromkeys(objects.values())))
+
+    @classmethod
+    def _derived(cls, group: FiniteAbelianGroup, t: int, xstar, hgens,
+                 new) -> "ProblemInstance":
+        """An instance on tuple rows built inside the package, each cell
+        either a cell of an instance already checked or one of the objects
+        in `new`.  Checks the row lengths and each object of `new`, and
+        takes `entries` by value; on a failure the public constructor
+        rebuilds the instance from the rows and names the error."""
+        rows = (xstar,) + hgens
+        if any(len(row) != t for row in rows) or not all(map(group.contains, new)):
+            return cls(group, t, xstar, hgens)
+        inst = object.__new__(cls)
+        for name, value in (("group", group), ("t", t), ("xstar", xstar), ("hgens", hgens),
+                            ("entries", tuple(dict.fromkeys(chain.from_iterable(rows))))):
+            object.__setattr__(inst, name, value)
+        return inst
 
     def _first_error(self, xstar, hgens) -> Optional[str]:
         """The complaint of a cell-by-cell check, which runs only once a

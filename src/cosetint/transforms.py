@@ -10,6 +10,9 @@ An instance holds a few distinct group elements in many cells, so the
 transformers compute the image of each of the instance's distinct entries
 (`ProblemInstance.entries`) once and map the cells through that table by
 value, and the gadgets fill their cells with a few shared element objects.
+Each output is built by `ProblemInstance._derived`, which checks only the
+objects that the step adds (its table's images, the gadget's elements, a
+zero or a kernel generator) and not the cells it copies from its input.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ def translate_instance(inst: ProblemInstance, g: GroupElement) -> ProblemInstanc
     if not G.contains(g):
         raise ValueError(f"{g} not in group {G}")
     shifted = entry_table(inst, lambda x: G.add(x, g))
-    return ProblemInstance(G, inst.t, _mapped(shifted, inst.xstar), inst.hgens)
+    return ProblemInstance._derived(G, inst.t, _mapped(shifted, inst.xstar), inst.hgens,
+                                    shifted.values())
 
 
 def map_instance(inst: ProblemInstance, f: Homomorphism) -> ProblemInstance:
@@ -97,11 +101,12 @@ def map_instance(inst: ProblemInstance, f: Homomorphism) -> ProblemInstance:
         raise ValueError("homomorphism source does not match instance group")
     check_injective(f)
     image = entry_table(inst, f.apply)
-    return ProblemInstance(
+    return ProblemInstance._derived(
         f.target,
         inst.t,
         _mapped(image, inst.xstar),
         tuple(_mapped(image, gen) for gen in inst.hgens),
+        image.values(),
     )
 
 
@@ -137,7 +142,8 @@ def divideout_lift(inst: ProblemInstance, G: FiniteAbelianGroup,
             gen = [zero] * t
             gen[i] = k
             slack.append(tuple(gen))
-    return ProblemInstance(G, t, xstar, tuple(lifted) + tuple(slack))
+    return ProblemInstance._derived(G, t, xstar, tuple(lifted) + tuple(slack),
+                                    (*lift.values(), zero, *K.gens))
 
 
 def transform_double(inst: ProblemInstance, c: Homomorphism, g: GroupElement) -> ProblemInstance:
@@ -155,7 +161,8 @@ def transform_double(inst: ProblemInstance, c: Homomorphism, g: GroupElement) ->
     shifted = entry_table(inst, lambda x: G.add(image[x], g))
     xstar = inst.xstar + _mapped(shifted, inst.xstar)
     hgens = tuple(gen + _mapped(image, gen) for gen in inst.hgens)
-    return ProblemInstance(G, 2 * inst.t, xstar, hgens)
+    return ProblemInstance._derived(G, 2 * inst.t, xstar, hgens,
+                                    (*image.values(), *shifted.values()))
 
 
 def check_pi_from_p(S_prime: SubsetS, enum: Sequence[GroupElement]) -> None:
@@ -183,11 +190,11 @@ def pi_from_p(inst: ProblemInstance, S_prime: SubsetS,
             raise ValueError("instance data must lie in the span of the subset")
     n = len(enum)
     t2 = inst.t + n
-    ystar = tuple(inst.xstar) + enum
-    pad = (G.zero(),) * n
-    padded = tuple(tuple(gen) + pad for gen in inst.hgens)
-    xstar = (G.zero(),) * t2
-    return ProblemInstance(G, t2, xstar, (ystar,) + padded)
+    zero = G.zero()
+    ystar = inst.xstar + enum
+    pad = (zero,) * n
+    padded = tuple(gen + pad for gen in inst.hgens)
+    return ProblemInstance._derived(G, t2, (zero,) * t2, (ystar,) + padded, (*enum, zero))
 
 
 @dataclass(frozen=True)
@@ -251,7 +258,8 @@ def gadget_s01(graph: Graph, G: FiniteAbelianGroup) -> Tuple[ProblemInstance, Ga
                 if v in e:
                     gen[layout.ec_index(e, c)] = one
             hgens.append(tuple(gen))
-    return ProblemInstance(G, t, tuple(xstar), tuple(hgens)), layout
+    return ProblemInstance._derived(G, t, tuple(xstar), tuple(hgens),
+                                    (zero, one, minus_one)), layout
 
 
 def gadget_s01_subset(G: FiniteAbelianGroup) -> SubsetS:
@@ -303,7 +311,7 @@ def gadget_coloring_full(graph: Graph, G: FiniteAbelianGroup) -> ProblemInstance
                 signed[1 if v == u else (-1 if v == w else 0)] for (u, w) in edges
             ))
     xstar = (zero,) * t
-    return ProblemInstance(G, t, xstar, tuple(hgens))
+    return ProblemInstance._derived(G, t, xstar, tuple(hgens), shared.values())
 
 
 def gadget_coloring_full_subset(G: FiniteAbelianGroup) -> SubsetS:

@@ -179,6 +179,37 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance(bad)
 
+    @pytest.mark.parametrize("text, msg, scans", [
+        # a row of the wrong length: the public constructor names it, without a line
+        ("group: 5\nt: 2\nxstar: (0) (1)\ngen: (1) (2)\ngen: (3)\n",
+         "generator has length 1, expected t=2", 1),
+        ("group: 5\nt: 2\nxstar: (0) (1)\ngen: \n", "generator has length 0, expected t=2", 1),
+        ("group: 5\nt: 2\nxstar: (0) (1)\ngen: (1) (2) (0)\n",
+         "generator has length 3, expected t=2", 1),
+        ("group: 5\nt: 3\nxstar: (0) (1)\ngen: (1) (2)\n", "xstar has length 2, expected t=3", 1),
+        # a bad token: parse_element names its line before any instance is built
+        ("group: 5\nt: 2\nxstar: (0) (1)\ngen: (1) (7)\n",
+         "line 4: element (7) out of range for group 5", 0),
+        ("group: 2,3\nt: 1\nxstar: (1,2)\ngen: (1,3)\n",
+         "line 4: element (1,3) out of range for group 2,3", 0),
+    ])
+    def test_errors_after_the_tokens_parse(self, text, msg, scans, monkeypatch):
+        calls = []
+        post_init = ProblemInstance.__post_init__
+
+        def counting_post_init(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ProblemInstance, "__post_init__", counting_post_init)
+        with pytest.raises(ParseError) as got:
+            parse_instance(text)
+        assert str(got.value) == msg
+        assert len(calls) == scans  # a length error falls back to the public constructor
+        with pytest.raises(ParseError) as want:
+            reference_parse_instance(text)
+        assert msg.removeprefix("line 4: ") == str(want.value)  # the reference names no line
+
     def test_random_round_trips(self):
         rng = random.Random(6)
         for G in small_groups(8):

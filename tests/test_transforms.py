@@ -55,6 +55,7 @@ from helpers import (
     small_groups,
     three_coloring,
 )
+from test_scripts import load_script
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -576,6 +577,89 @@ class TestMatchesCellByCellReference:
         assert certs >= len(replay_pipelines)
 
 
+@pytest.fixture
+def derived_checked(monkeypatch):
+    """Rebuild every instance that `ProblemInstance._derived` returns with
+    the public constructor on the same rows: it must be equal and list the
+    same entries in the same order.  Returns the list of checked instances."""
+    derived = ProblemInstance._derived
+    checked = []
+
+    def checked_derived(cls, group, t, xstar, hgens, new):
+        inst = derived(group, t, xstar, hgens, new)
+        want = ProblemInstance(group, t, xstar, hgens)
+        assert inst == want
+        assert repr((inst.xstar, inst.hgens, inst.entries)) == repr(
+            (want.xstar, want.hgens, want.entries))
+        checked.append(inst)
+        return inst
+
+    monkeypatch.setattr(ProblemInstance, "_derived", classmethod(checked_derived))
+    return checked
+
+
+def round_trip(inst):
+    back = parse_instance(format_instance(inst))
+    assert back == inst and back.entries == inst.entries
+
+
+class TestDerivedMatchesPublicConstructor:
+    def test_replays(self, replay_pipelines, derived_checked):
+        graphs = [(graph, three_coloring(graph)) for graph in gnm_graphs(13, 4)]
+        graphs += [(complete_graph(3), (1, 2, 3)), (cycle_graph(5), (1, 2, 1, 2, 3)),
+                   (path_graph(3), (1, 2, 1)), (complete_graph(4), None)]
+        for pipe in replay_pipelines.values():
+            for graph, coloring in graphs:
+                inst, _ = apply_pipeline(pipe, graph, coloring)
+                round_trip(inst)
+        # each replay builds the gadget, one instance per later step and one parse
+        assert len(derived_checked) == len(graphs) * sum(
+            sum(not isinstance(step, hardness.KColFrom3Col) for step in pipe.steps) + 1
+            for pipe in replay_pipelines.values())
+
+    def test_compile_showcase(self, derived_checked):
+        assert load_script("compile_showcase").main([]) == 0
+        # 5 targets, each replayed on K3 and K4 by its self-check and on 4 graphs
+        assert len(derived_checked) >= 5 * (2 + 4) * 2
+
+    def test_random_instances(self, derived_checked):
+        rng = random.Random(29)
+        groups = small_groups(8)
+        built = Counter()
+        for _ in range(600):
+            G = rng.choice(groups)
+            inst = random_instance(rng, G, max_t=4, max_gens=4)
+            g = random_element(rng, G)
+            outs = [translate_instance(inst, g)]
+            if G.dim:
+                outs.append(map_instance(inst, random_injection(rng, G)))
+            c = random_hom(rng, G, G)
+            if c is not None:
+                outs.append(transform_double(inst, c, g))
+            K = random_subgroup(rng, G)
+            over_quotient = random_instance(rng, quotient_group(G, K).group, max_t=4, max_gens=4)
+            outs.append(divideout_lift(over_quotient, G, K))
+            try:
+                outs.append(pi_from_p(inst, random_subset(rng, G)))
+            except ValueError:  # the subset is not fixed by its core, or too small a span
+                pass
+            for out in outs:
+                round_trip(out)
+            built[len(outs)] += 1
+        assert len(derived_checked) > 2 * 3 * 600
+        assert built[5] >= 100, built
+
+    def test_gadgets(self, derived_checked):
+        rng = random.Random(5)
+        for G in small_groups(8):
+            for graph in gnm_graphs(rng.random(), 2, n=6, m=7):
+                if G.order >= 3:
+                    round_trip(gadget_coloring_full(graph, G))
+                if G.dim == 1 and G.order >= 4:
+                    round_trip(gadget_s01(graph, G)[0])
+        assert len(derived_checked) > 40
+
+
 class TestWorkPerDistinctEntry:
     """During a replay, each layer works once per distinct entry object,
     and the gadget and the steps share element objects instead of
@@ -589,25 +673,36 @@ class TestWorkPerDistinctEntry:
         calls = Counter()
         contains = FiniteAbelianGroup.contains
         post_init = ProblemInstance.__post_init__
+        derived = ProblemInstance._derived
         built = []
 
         def counting_contains(self, x):
             calls["contains"] += 1
             return contains(self, x)
 
-        def recording_post_init(self):
-            before = calls["contains"]
+        def counting_post_init(self):
+            calls["scans"] += 1
             post_init(self)
-            built.append((self, calls["contains"] - before))
+
+        def recording_derived(cls, group, t, xstar, hgens, new):
+            new = tuple(new)
+            before = calls["contains"]
+            inst = derived(group, t, xstar, hgens, new)
+            built.append((inst, calls["contains"] - before, {id(e) for e in new}))
+            return inst
 
         monkeypatch.setattr(FiniteAbelianGroup, "contains", counting_contains)
-        monkeypatch.setattr(ProblemInstance, "__post_init__", recording_post_init)
+        monkeypatch.setattr(ProblemInstance, "__post_init__", counting_post_init)
+        monkeypatch.setattr(ProblemInstance, "_derived", classmethod(recording_derived))
         graph, = gnm_graphs(7, 1)
-        apply_pipeline(pi_z5, graph, three_coloring(graph))
+        inst, _ = apply_pipeline(pi_z5, graph, three_coloring(graph))
         assert len(built) == len(pi_z5.steps)  # the gadget, then one per step
-        for inst, checks in built:
+        assert parse_instance(format_instance(inst)) == inst
+        assert len(built) == len(pi_z5.steps) + 1  # and one for the parse
+        assert calls["scans"] == 0  # no cell is checked a second time
+        for inst, checks, new in built:
             objects = entry_objects(inst)
-            assert checks <= len(objects)
+            assert checks <= len(new)
             assert len(objects) <= 3 * inst.group.order
             assert inst.t * (1 + len(inst.hgens)) > 100 * len(objects)
 
