@@ -10,8 +10,9 @@ Instance files repeat a few group elements in many cells.  The instance
 serializer formats each of the instance's distinct entries
 (`ProblemInstance.entries`) once, and the instance parser parses and
 checks each distinct element token once, through a table that lives for
-one call; every cell is then a lookup by value, and the instance is built
-by `ProblemInstance._derived` without checking its cells again.
+one call, and checks each row's length as it splits the row, so every error
+names its line; every cell is then a lookup by value, and the instance is
+built by `ProblemInstance._derived` without checking its cells again.
 """
 
 from __future__ import annotations
@@ -206,13 +207,17 @@ def format_instance(inst: ProblemInstance, header: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_elements(G: FiniteAbelianGroup, rest: str, lineno: int, parsed: dict):
-    """The line's element tokens; `parsed` maps each token already seen in
-    this file to its element, so each distinct token is parsed once."""
+def _split_row(G: FiniteAbelianGroup, t: int, name: str, rest: str, lineno: int,
+               parsed: dict):
+    """The line's element tokens, a row of length t; `parsed` maps each token
+    already seen in this file to its element, so each distinct token is
+    parsed once."""
     toks = rest.split()
     for tok in dict.fromkeys(toks):
         if tok not in parsed:
             parsed[tok] = parse_element(G, tok, lineno)
+    if len(toks) != t:
+        _fail(f"{name} has length {len(toks)}, expected t={t}", lineno)
     return tuple(map(parsed.__getitem__, toks))
 
 
@@ -236,16 +241,13 @@ def parse_instance(text: str) -> ProblemInstance:
     if k2 != "xstar":
         _fail("third line must be 'xstar: ...'", l2)
     parsed = {}
-    xstar = _split_elements(G, v2, l2, parsed)
+    xstar = _split_row(G, t, "xstar", v2, l2, parsed)
     hgens = []
     for lineno, key, rest in fields[3:]:
         if key != "gen":
             _fail(f"unexpected line key {key!r}", lineno)
-        hgens.append(_split_elements(G, rest, lineno, parsed))
-    try:
-        return ProblemInstance._derived(G, t, xstar, tuple(hgens), parsed.values())
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+        hgens.append(_split_row(G, t, "generator", rest, lineno, parsed))
+    return ProblemInstance._derived(G, t, xstar, tuple(hgens), parsed.values())
 
 
 # --- graphs (DIMACS-like) ----------------------------------------------------

@@ -7,8 +7,11 @@ generator's multiples) -- it is the ground truth that every polynomial
 solver and every reduction is tested against, so it must be simple
 enough to trust by inspection.  Its one pruning rule: the coordinates
 that the same remaining generators R still move form a group, and a node
-fails when no digit tuple of R puts the whole group into S.  With R empty
-that is the test of a finished coordinate.
+fails when no digit tuple of R puts the whole group into S.  With R = {k}
+the check leaves the digits of generator k that do, and the node for k
+tries only those.  So a finished coordinate is tested on its own only at
+the root, when no generator moves it, or below g_k when its group {k} has
+too many digits to check.
 
 Each cell object of an instance is checked once, where it enters: input
 from outside the package per object at the public constructor, parsed input
@@ -317,11 +320,15 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     group that only R's digits can still move.  The node fails when some
     group has no digit tuple (c_j < r_j)_{j in R} putting every one of
     its coordinates into S.  The root checks every group; the node below
-    generator k - 1 checks the groups that g_{k-1} changed.  For R empty
-    this is the test of a coordinate once no remaining generator can
-    change it.  A group is skipped when R has more than
-    min(|G|, GROUP_CHECK_TUPLES) digit tuples.  A failing node has no
-    certificate below it, so the search visits a subtree of the plain
+    generator k - 1 checks the groups that g_{k-1} changed.  A group is
+    skipped (capped) when R has more than min(|G|, GROUP_CHECK_TUPLES)
+    digit tuples.  The last check of the group R = {k} on the path leaves
+    the mask of g_k's digits that put all of that group into S, and the
+    node for generator k tries only those digits.  So a coordinate that
+    g_k moves last always lands in S, and is tested at the node below
+    only when its group {k} is capped; a coordinate that no generator
+    moves is tested at the root.  A failing node or a skipped digit has
+    no certificate below it, so the search visits a subtree of the plain
     DFS in the same order.
 
     Digits are tried in ascending order with generators in given order,
@@ -359,7 +366,8 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     # have more than `cap` digit tuples, else (group, hits memo).  Suffixes
     # are interned by (generator, entry, rest), so the walk is linear in the
     # nonzero entries.  When g_k touches i, i joins the group of the suffix
-    # after g_k at the node for generator k + 1.
+    # after g_k at the node for generator k + 1.  A coordinate that g_k
+    # touches last is tested at that node only when its group {k} is capped.
     final_at = [[] for _ in range(ngens + 1)]
     checks = [[] for _ in range(ngens + 1)]
     cap = min(G.order, GROUP_CHECK_TUPLES)
@@ -371,8 +379,11 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     # since the group's previous check, at an ancestor node, so a check ANDs
     # the mask that check left in masks[read] with the new members' masks.
     # Built from the last level, each check writes the slot that its
-    # group's next check reads (slot 0 if none does).
-    masks, reads = [-1], {}
+    # group's next check reads (slot 0 if none does).  The last check of
+    # group {k} writes allowed[k], the digits of g_k that put that group into
+    # S; slot 1 stays all ones for a generator whose group {k} is capped.
+    masks, reads = [-1, -1], {}
+    allowed = [1] * ngens
 
     def add_checks(level, joined):
         for group, new in joined.items():
@@ -385,7 +396,8 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
         for i, succ in moves[k]:
             tail = suffix[i]
             if tail is None:
-                final_at[k + 1].append(i)
+                if orders[k] > cap:
+                    final_at[k + 1].append(i)
                 tail = empty
             elif tail is capped:
                 continue
@@ -404,6 +416,9 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
                                       hits_of[entry])
             suffix[i] = suffix_of[key]
         add_checks(k + 1, joined)
+        if (k, None) in group_of:
+            allowed[k] = reads[group_of[k, None]] = len(masks)
+            masks.append(-1)
     joined = {}
     for i, tail in enumerate(suffix):
         if tail is None:
@@ -433,15 +448,19 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
             return tuple(stack)
         move = moves[k]
         saved = [point[i] for i, _ in move]
+        digits = masks[allowed[k]]
         for digit in range(orders[k]):
+            if not digits >> digit:
+                break
             if digit:
                 for i, succ in move:
                     point[i] = succ[point[i]]
-            stack.append(digit)
-            found = dfs(k + 1, stack)
-            if found is not None:
-                return found
-            stack.pop()
+            if digits >> digit & 1:
+                stack.append(digit)
+                found = dfs(k + 1, stack)
+                if found is not None:
+                    return found
+                stack.pop()
         for (i, _), x in zip(move, saved):
             point[i] = x
         return None

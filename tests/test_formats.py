@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,13 +181,15 @@ class TestInstanceFormat:
             parse_instance(bad)
 
     @pytest.mark.parametrize("text, msg, scans", [
-        # a row of the wrong length: the public constructor names it, without a line
+        # a row of the wrong length: checked as the row is split, and named with its line
         ("group: 5\nt: 2\nxstar: (0) (1)\ngen: (1) (2)\ngen: (3)\n",
-         "generator has length 1, expected t=2", 1),
-        ("group: 5\nt: 2\nxstar: (0) (1)\ngen: \n", "generator has length 0, expected t=2", 1),
+         "line 5: generator has length 1, expected t=2", 0),
+        ("group: 5\nt: 2\nxstar: (0) (1)\ngen: \n",
+         "line 4: generator has length 0, expected t=2", 0),
         ("group: 5\nt: 2\nxstar: (0) (1)\ngen: (1) (2) (0)\n",
-         "generator has length 3, expected t=2", 1),
-        ("group: 5\nt: 3\nxstar: (0) (1)\ngen: (1) (2)\n", "xstar has length 2, expected t=3", 1),
+         "line 4: generator has length 3, expected t=2", 0),
+        ("group: 5\nt: 3\nxstar: (0) (1)\ngen: (1) (2)\n",
+         "line 3: xstar has length 2, expected t=3", 0),
         # a bad token: parse_element names its line before any instance is built
         ("group: 5\nt: 2\nxstar: (0) (1)\ngen: (1) (7)\n",
          "line 4: element (7) out of range for group 5", 0),
@@ -205,10 +208,10 @@ class TestInstanceFormat:
         with pytest.raises(ParseError) as got:
             parse_instance(text)
         assert str(got.value) == msg
-        assert len(calls) == scans  # a length error falls back to the public constructor
+        assert len(calls) == scans  # no error falls back to the public constructor
         with pytest.raises(ParseError) as want:
             reference_parse_instance(text)
-        assert msg.removeprefix("line 4: ") == str(want.value)  # the reference names no line
+        assert re.sub(r"^line \d+: ", "", msg) == str(want.value)  # the reference names no line
 
     def test_random_round_trips(self):
         rng = random.Random(6)

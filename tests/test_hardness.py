@@ -312,6 +312,23 @@ class TestCompileSweep:
         for pipe in pipes:
             run_selfcheck(pipe, budget=SWEEP_BUDGET)
 
+    def test_selfcheck_census_past_order_six(self):
+        # every NP-complete target of Z_7, Z_2 x Z_4 and Z_2^3 self-checks
+        # within SWEEP_BUDGET; Z_8 is left out, where the Pi target
+        # {1,2,3,6,7} still overruns it
+        counts = {}
+        for mods in ((7,), (2, 4), (2, 2, 2)):
+            G = FiniteAbelianGroup(mods)
+            elems = list(G.elements())
+            for bits in range(2 ** len(elems)):
+                S = SubsetS.of(G, [e for i, e in enumerate(elems) if bits >> i & 1])
+                for variant, classify in (("P", classify_affine), ("Pi", classify_homogeneous)):
+                    if classify(G, S).verdict == NP_COMPLETE:
+                        pipe = compile_hardness(G, S, variant, selfcheck=False)
+                        run_selfcheck(pipe, budget=SWEEP_BUDGET)
+                        counts[mods] = counts.get(mods, 0) + 1
+        assert counts == {(7,): 176, (2, 4): 336, (2, 2, 2): 296}
+
     def test_ten_generators_over_z6_stop_at_their_orders(self):
         # seven of the K4 instance's ten generators have order 2 or 3, so
         # the search box holds 3 * 6^3 * 2^6 leaves rather than 6^10

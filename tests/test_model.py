@@ -273,13 +273,31 @@ class TestOracleSolve:
         assert oracle_solve(inst, SubsetS.of(Z4, [])) == SolveResult("yes", ())
 
     def test_budget_exceeded_is_a_value(self):
+        # four coordinates on a cycle, generator j moving j and j + 1: the
+        # coefficients must solve c_3 + c_0 = 6, c_0 + c_1 = 6, c_1 + c_2 = 6
+        # and c_2 + c_3 = 7, whose alternating sum reads 0 = 1; each c_0 leaves
+        # one digit for c_1 and for c_2, and the node for c_3 fails
+        G = FiniteAbelianGroup((8,))
+        inst = ProblemInstance(
+            G, 4, ((1,), (1,), (1,), (0,)),
+            tuple(tuple((int(i in (j, (j + 1) % 4)),) for i in range(4)) for j in range(4)),
+        )
+        S = SubsetS.of(G, [(7,)])
+        res = oracle_solve(inst, S, budget=5)
+        assert res == SolveResult("budget_exceeded")
+        res = oracle_solve(inst, S)
+        assert (res, res.nodes) == (SolveResult("no"), 1 + 3 * 8)
+
+    def test_unit_generators_take_one_node_each(self):
+        # each generator moves one coordinate, so each node tries only the
+        # digit that puts its coordinate into S
         G = FiniteAbelianGroup((8,))
         inst = ProblemInstance(
             G, 4, tuple((1,) for _ in range(4)),
             tuple(tuple((int(i == j),) for i in range(4)) for j in range(4)),
         )
         res = oracle_solve(inst, SubsetS.of(G, [(7,)]), budget=5)
-        assert res == SolveResult("budget_exceeded")
+        assert (res, res.nodes) == (SolveResult("yes", (6, 6, 6, 6)), 5)
 
     def test_agrees_with_enumeration_oracle(self):
         rng = random.Random(20240817)
@@ -473,6 +491,61 @@ class TestGroupCheck:
         slow = SubsetS.of(G, [(2000,), (2003,)])
         assert oracle_solve(inst, slow, budget=1000).kind == "budget_exceeded"
         assert calls < 2000
+
+
+class TestDigitFilter:
+    """The node for generator k tries only the digits that put every
+    coordinate that g_k alone still moves into S."""
+
+    def test_disjoint_supports(self):
+        # every coordinate has at most one generator, so the root checks
+        # them all: a no fails there, and a yes takes each generator's
+        # first allowed digit without backtracking
+        rng = random.Random(15)
+        groups = small_groups(8)
+        found = {"yes": 0, "no": 0}
+        for _ in range(600):
+            G = rng.choice(groups)
+            t, ngens = rng.randint(0, 5), rng.randint(0, 4)
+            owner = [rng.randrange(-1, ngens) for _ in range(t)]
+            zero = G.zero()
+            hgens = tuple(tuple(random_element(rng, G) if owner[i] == k else zero
+                                for i in range(t)) for k in range(ngens))
+            inst = ProblemInstance(G, t, tuple(random_element(rng, G) for _ in range(t)), hgens)
+            S = random_subset(rng, G)
+            res = oracle_solve(inst, S)
+            ref = reference_order_oracle_solve(inst, S)
+            where = (inst, sorted(S.elements))
+            assert (res.kind, res.certificate) == (ref.kind, ref.certificate), where
+            assert res.nodes == (ngens + 1 if res.kind == "yes" else 1), where
+            found[res.kind] += 1
+        assert min(found.values()) > 100
+
+    def test_capped_final_coordinates(self):
+        # in Z_256 an entry 2 * odd has order 128, past the cap: its group
+        # {k} gets no check and no digit filter, and a coordinate that such a
+        # generator moves last is tested once the generator's digit is set
+        G = FiniteAbelianGroup((256,))
+        inst = ProblemInstance(G, 2, ((1,), (1,)), (((2,), (4,)), ((0,), (4,))))
+        S = SubsetS.of(G, [(7,), (13,)])
+        # c_0 = 0 puts coordinate 1 into S with c_1 = 3, but leaves coordinate 0 at 1
+        assert oracle_solve(inst, S) == reference_order_oracle_solve(inst, S) == (
+            SolveResult("yes", (3, 0)))
+        rng = random.Random(256)
+        capped = [(4 * rng.randrange(64) + 2,) for _ in range(3)]
+        uncapped = [(4 * rng.randrange(64),) for _ in range(3)]
+        kinds = set()
+        for _ in range(60):
+            t = rng.randint(1, 3)
+            gens = [tuple(rng.choice(pool) for _ in range(t)) for pool in (capped, uncapped)]
+            rng.shuffle(gens)
+            inst = ProblemInstance(G, t, tuple(random_element(rng, G) for _ in range(t)),
+                                   tuple(gens))
+            S = SubsetS.of(G, rng.sample(list(G.elements()), 6))
+            res, ref = oracle_solve(inst, S), reference_order_oracle_solve(inst, S)
+            assert (res.kind, res.certificate) == (ref.kind, ref.certificate), (inst, S)
+            kinds.add(res.kind)
+        assert kinds == {"yes", "no"}
 
 
 class TestPresolve:

@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from cosetint.model import SolveResult
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -27,6 +29,18 @@ def test_format_fuzzer_runs_clean():
     # round-trips groups of up to 3 factors with moduli up to 9, which the
     # small_groups(8) tests do not reach
     assert load_script("fuzz_formats").main(["--seed", "0", "--rounds", "200"]) == 0
+
+
+def test_oracle_census_runs_clean(monkeypatch, capsys):
+    census = load_script("oracle_census")
+    assert census.main(["5", "--fail-on-overrun"]) == 0
+    assert "| Z_5 | P | 25 | 25 | 0 |" in capsys.readouterr().out
+    assert census.main(["5", "--budget", "2"]) == 0
+    assert census.main(["5", "--budget", "2", "--fail-on-overrun"]) == 1
+    # a K4 replay decided yes means a wrong reduction or a wrong oracle
+    monkeypatch.setattr(census, "oracle_solve",
+                        lambda inst, S, budget: SolveResult("yes", (0,) * len(inst.hgens)))
+    assert census.main(["5"]) == 1
 
 
 def test_every_benchmark_traced_name_resolves():
