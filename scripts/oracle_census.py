@@ -11,50 +11,40 @@ variant: targets, K4 `no` answers, budget overruns, and the most nodes a
 decided run took.
 
 Exits 1 if any K4 replay is decided `yes` (K4 is not 3-colourable, so the
-reduction or the oracle is wrong), and with --fail-on-overrun also if any
-run exceeds its budget.
+reduction or the oracle is wrong).  Overruns are only counted: the tier-1
+test suite already fails on any overrun of Z_7, Z_2 x Z_4 and Z_2^3 at
+2*10^5 nodes, and the larger groups of ROADMAP item 1 still have some.
+
+The targets are those of the test suite's `np_complete_targets`.
 """
 
 import argparse
 import sys
 from collections import Counter
+from pathlib import Path
 
-from cosetint import (
-    NP_COMPLETE,
-    FiniteAbelianGroup,
-    SubsetS,
-    apply_pipeline,
-    classify_affine,
-    classify_homogeneous,
-    compile_hardness,
-    complete_graph,
-    oracle_solve,
-)
+from cosetint import FiniteAbelianGroup, apply_pipeline, compile_hardness, complete_graph, oracle_solve
 
-CLASSIFIERS = (("P", classify_affine), ("Pi", classify_homogeneous))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import np_complete_targets  # noqa: E402
 
 
 def census(G: FiniteAbelianGroup, budget: int):
     """{variant: Counter of targets, each result kind, and max_nodes, the
     most nodes a decided run took}."""
-    rows = {variant: Counter() for variant, _ in CLASSIFIERS}
-    elems = list(G.elements())
-    for bits in range(2 ** len(elems)):
-        S = SubsetS.of(G, [e for i, e in enumerate(elems) if bits >> i & 1])
-        for variant, classify in CLASSIFIERS:
-            if classify(G, S).verdict != NP_COMPLETE:
-                continue
-            pipe = compile_hardness(G, S, variant, selfcheck=False)
-            inst, _ = apply_pipeline(pipe, complete_graph(4))
-            res = oracle_solve(inst, S, budget=budget)
-            row = rows[variant]
-            row["targets"] += 1
-            row[res.kind] += 1
-            if res.kind != "budget_exceeded":
-                row["max_nodes"] = max(row["max_nodes"], res.nodes)
-            if res.kind == "yes":
-                print(f"K4 decided yes: {variant} {G.moduli} {S.sorted_elements()}",
-                      file=sys.stderr)
+    rows = {"P": Counter(), "Pi": Counter()}
+    for variant, S in np_complete_targets(G):
+        pipe = compile_hardness(G, S, variant, selfcheck=False)
+        inst, _ = apply_pipeline(pipe, complete_graph(4))
+        res = oracle_solve(inst, S, budget=budget)
+        row = rows[variant]
+        row["targets"] += 1
+        row[res.kind] += 1
+        if res.kind != "budget_exceeded":
+            row["max_nodes"] = max(row["max_nodes"], res.nodes)
+        if res.kind == "yes":
+            print(f"K4 decided yes: {variant} {G.moduli} {S.sorted_elements()}",
+                  file=sys.stderr)
     return rows
 
 
@@ -62,10 +52,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("groups", nargs="+", help="moduli joined with 'x', e.g. 2x4")
     ap.add_argument("--budget", type=int, default=2 * 10 ** 5)
-    ap.add_argument("--fail-on-overrun", action="store_true")
     args = ap.parse_args(argv)
 
-    yes = overruns = 0
+    yes = 0
     print(f"oracle budget {args.budget} nodes")
     print("| Group | variant | NP-complete targets | K4 `no` | overruns "
           "| max nodes when decided |")
@@ -77,12 +66,8 @@ def main(argv=None) -> int:
             print(f"| {name} | {variant} | {row['targets']:,} | {row['no']:,} "
                   f"| {row['budget_exceeded']:,} | {row['max_nodes']:,} |")
             yes += row["yes"]
-            overruns += row["budget_exceeded"]
     if yes:
         print(f"oracle_census: {yes} K4 replays decided yes", file=sys.stderr)
-        return 1
-    if args.fail_on_overrun and overruns:
-        print(f"oracle_census: {overruns} K4 replays exceeded the budget", file=sys.stderr)
         return 1
     return 0
 

@@ -29,7 +29,8 @@ from cosetint.groups import (
     standard_gens,
     subgroup_reduce_gens,
 )
-from cosetint.model import ProblemInstance
+from cosetint.classify import NP_COMPLETE, classify_affine, classify_homogeneous
+from cosetint.model import ProblemInstance, SubsetS
 
 # the replay benchmark's targets: the five compile showcase targets, plus
 # P over Z_6 with S = {0,1,2,4,5}, which divides out a subgroup
@@ -125,6 +126,25 @@ def small_groups(max_order: int):
     return [g for g in uniq if g.order <= max_order]
 
 
+def all_subsets(G: FiniteAbelianGroup):
+    """Every subset S of G, the empty set and G itself included."""
+    elems = list(G.elements())
+    for bits in range(2 ** len(elems)):
+        yield SubsetS.of(G, [e for i, e in enumerate(elems) if bits >> i & 1])
+
+
+CLASSIFIERS = {"P": classify_affine, "Pi": classify_homogeneous}
+
+
+def np_complete_targets(G: FiniteAbelianGroup, variants=("P", "Pi")):
+    """(variant, S) for every subset S that the variant's classifier calls
+    NP-complete: the targets that compile_hardness accepts."""
+    for S in all_subsets(G):
+        for variant in variants:
+            if CLASSIFIERS[variant](G, S).verdict == NP_COMPLETE:
+                yield variant, S
+
+
 def random_element(rng, G: FiniteAbelianGroup):
     return tuple(rng.randrange(d) for d in G.moduli)
 
@@ -136,8 +156,6 @@ def random_subgroup(rng, G: FiniteAbelianGroup, max_gens=3):
 
 def random_coset_subset(rng, G: FiniteAbelianGroup):
     """A random coset of a random subgroup as a SubsetS; sometimes empty."""
-    from cosetint.model import SubsetS
-
     if rng.random() < 0.1:
         return SubsetS.of(G, [])
     sub = span_bruteforce(G, random_subgroup(rng, G).gens)
@@ -223,8 +241,6 @@ def random_instance(rng, G, max_t=3, max_gens=3):
 
 
 def random_subset(rng, G):
-    from cosetint.model import SubsetS
-
     return SubsetS.of(G, [e for e in G.elements() if rng.random() < 0.5])
 
 
@@ -420,8 +436,6 @@ def reference_is_coset(S):
 
 def reference_dilation_core(S):
     """Intersection of the dilates aS over all a with aS inside S."""
-    from cosetint.model import SubsetS
-
     G = S.group
     if not S.elements:
         return S

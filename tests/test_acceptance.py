@@ -35,6 +35,7 @@ from cosetint.formats import format_instance, format_pipeline, parse_pipeline
 
 from helpers import (
     all_subgroups,
+    all_subsets,
     is_three_colorable,
     random_element,
     random_instance,
@@ -48,18 +49,12 @@ def _report(n, label, t0):
     print(f"ACCEPTANCE {n} ({label}): PASS in {time.monotonic() - t0:.1f}s")
 
 
-def _subsets(G):
-    elems = tuple(G.elements())
-    for bits in range(2 ** len(elems)):
-        yield SubsetS.of(G, [e for i, e in enumerate(elems) if bits >> i & 1])
-
-
 def test_criterion_1_classifier_dichotomy():
     t0 = time.monotonic()
     checked = 0
     for G in small_groups(8):
         subgroups = all_subgroups(G)
-        for S in _subsets(G):
+        for S in all_subsets(G):
             if not S.elements:
                 easy = True
             else:
@@ -82,7 +77,7 @@ def test_criterion_2_dilation_core_laws():
     for m in mods:
         G = FiniteAbelianGroup(m)
         zero = G.zero()
-        for S in _subsets(G):
+        for S in all_subsets(G):
             core = dilation_core(S)
             assert core.elements <= S.elements
             assert dilation_core(core).elements == core.elements
@@ -238,7 +233,7 @@ def test_criterion_5_doubling_fidelity():
     t0 = time.monotonic()
     rng = random.Random(303)
     G = FiniteAbelianGroup((4,))
-    for S in _subsets(G):
+    for S in all_subsets(G):
         for _ in range(50):
             c = scaling_hom(G, rng.randrange(4))
             g = random_element(rng, G)

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -17,6 +16,7 @@ from cosetint.model import SubsetS
 
 from helpers import (
     all_subgroups,
+    all_subsets,
     random_coset_subset,
     reference_dilation_core,
     reference_is_coset,
@@ -27,13 +27,6 @@ from helpers import (
 Z4 = FiniteAbelianGroup((4,))
 Z5 = FiniteAbelianGroup((5,))
 Z6 = FiniteAbelianGroup((6,))
-
-
-def all_subsets(G):
-    elems = list(G.elements())
-    for r in range(len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            yield SubsetS.of(G, combo)
 
 
 def coset_oracle(G, S):

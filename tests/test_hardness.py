@@ -10,7 +10,6 @@ from cosetint.groups import (
     scaling_hom,
 )
 from cosetint.model import SubsetS, oracle_solve, verify_certificate
-from cosetint.classify import NP_COMPLETE, classify_affine, classify_homogeneous
 from cosetint.transforms import Graph, complete_graph, cycle_graph, path_graph
 from cosetint.hardness import (
     CompileError,
@@ -28,13 +27,12 @@ from cosetint.hardness import (
     apply_pipeline,
     compile_hardness,
     compile_hardness_P,
-    compile_hardness_Pi,
     normalize_steps,
     run_selfcheck,
     verify_trace,
 )
 
-from helpers import is_three_colorable, small_groups
+from helpers import is_three_colorable, np_complete_targets, small_groups
 
 Z3 = FiniteAbelianGroup((3,))
 Z4 = FiniteAbelianGroup((4,))
@@ -260,47 +258,22 @@ class TestCompileSweep:
     its self-check: the triangle's threaded certificate verifies end to
     end, and the oracle decides the 4-clique No within SWEEP_BUDGET."""
 
-    def test_affine_sweep(self):
+    @pytest.mark.parametrize("variant, floor", [("P", 30), ("Pi", 10)])
+    def test_sweep(self, variant, floor):
         count = 0
         for G in small_groups(6):
-            elems = list(G.elements())
-            for bits in range(2 ** len(elems)):
-                S = SubsetS.of(G, [e for i, e in enumerate(elems) if bits >> i & 1])
-                if classify_affine(G, S).verdict != NP_COMPLETE:
-                    continue
-                pipe = compile_hardness_P(G, S, selfcheck=False)
-                run_selfcheck(pipe, budget=SWEEP_BUDGET)
+            for _, S in np_complete_targets(G, (variant,)):
+                run_selfcheck(compile_hardness(G, S, variant, selfcheck=False),
+                              budget=SWEEP_BUDGET)
                 count += 1
-        assert count > 30
-
-    def test_homogeneous_sweep(self):
-        count = skipped = 0
-        for G in small_groups(6):
-            elems = list(G.elements())
-            for bits in range(2 ** len(elems)):
-                S = SubsetS.of(G, [e for i, e in enumerate(elems) if bits >> i & 1])
-                if classify_homogeneous(G, S).verdict != NP_COMPLETE:
-                    continue
-                try:
-                    pipe = compile_hardness_Pi(G, S, selfcheck=False)
-                except CompileError:
-                    skipped += 1  # S meets the core's span outside the core
-                    continue
-                run_selfcheck(pipe, budget=SWEEP_BUDGET)
-                count += 1
-        assert count > 10
+        assert count > floor
 
     def test_divide_out_targets_past_order_six(self):
         # each K4 instance of these pipelines is doubled around a divide-out,
         # and the fixed subset left by undoubling is periodic, so the oracle's
         # presolve decides it within SWEEP_BUDGET
-        Z8 = FiniteAbelianGroup((8,))
-        elems = list(Z8.elements())
         pipes = []
-        for bits in range(2 ** len(elems)):
-            S = SubsetS.of(Z8, [e for i, e in enumerate(elems) if bits >> i & 1])
-            if classify_affine(Z8, S).verdict != NP_COMPLETE:
-                continue
+        for _, S in np_complete_targets(Z8, ("P",)):
             pipe = compile_hardness_P(Z8, S, selfcheck=False)
             if any(isinstance(step, DivideOutLift) for step in pipe.steps):
                 pipes.append(pipe)
@@ -319,14 +292,10 @@ class TestCompileSweep:
         counts = {}
         for mods in ((7,), (2, 4), (2, 2, 2)):
             G = FiniteAbelianGroup(mods)
-            elems = list(G.elements())
-            for bits in range(2 ** len(elems)):
-                S = SubsetS.of(G, [e for i, e in enumerate(elems) if bits >> i & 1])
-                for variant, classify in (("P", classify_affine), ("Pi", classify_homogeneous)):
-                    if classify(G, S).verdict == NP_COMPLETE:
-                        pipe = compile_hardness(G, S, variant, selfcheck=False)
-                        run_selfcheck(pipe, budget=SWEEP_BUDGET)
-                        counts[mods] = counts.get(mods, 0) + 1
+            for variant, S in np_complete_targets(G):
+                run_selfcheck(compile_hardness(G, S, variant, selfcheck=False),
+                              budget=SWEEP_BUDGET)
+                counts[mods] = counts.get(mods, 0) + 1
         assert counts == {(7,): 176, (2, 4): 336, (2, 2, 2): 296}
 
     def test_ten_generators_over_z6_stop_at_their_orders(self):
