@@ -7,12 +7,12 @@ value; formatting a parsed file reproduces it byte for byte as long as it
 was canonical to begin with.
 
 Instance files repeat a few group elements in many cells.  The instance
-serializer formats each of the instance's distinct entries
-(`ProblemInstance.entries`) once, and the instance parser parses and
-checks each distinct element token once, through a table that lives for
-one call, and checks each row's length as it splits the row, so every error
-names its line; every cell is then a lookup by value, and the instance is
-built by `ProblemInstance._derived` without checking its cells again.
+serializer formats each distinct value once, and the instance parser
+parses and checks each distinct element token once, each through a
+`model.Memo` that lives for one call and fills itself as the cells are
+looked up.  The parser checks each row's length as it splits the row, so
+every error names its line, and the instance is built by
+`ProblemInstance._derived` without checking its cells again.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .groups import (
     Homomorphism,
     SubgroupGens,
 )
-from .model import ProblemInstance, SubsetS, entry_table
+from .model import Memo, ProblemInstance, SubsetS
 from .transforms import Graph, check_injective
 from .hardness import (
     DivideOutLift,
@@ -193,7 +193,7 @@ def parse_subset(G: FiniteAbelianGroup, text: str) -> SubsetS:
 
 
 def format_instance(inst: ProblemInstance, header: Sequence[str] = ()) -> str:
-    texts = entry_table(inst, format_element)
+    texts = Memo(format_element)
 
     def row_text(row) -> str:
         return " ".join(map(texts.__getitem__, row))
@@ -205,20 +205,6 @@ def format_instance(inst: ProblemInstance, header: Sequence[str] = ()) -> str:
     for gen in inst.hgens:
         lines.append(("gen: " + row_text(gen)).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def _split_row(G: FiniteAbelianGroup, t: int, name: str, rest: str, lineno: int,
-               parsed: dict):
-    """The line's element tokens, a row of length t; `parsed` maps each token
-    already seen in this file to its element, so each distinct token is
-    parsed once."""
-    toks = rest.split()
-    for tok in dict.fromkeys(toks):
-        if tok not in parsed:
-            parsed[tok] = parse_element(G, tok, lineno)
-    if len(toks) != t:
-        _fail(f"{name} has length {len(toks)}, expected t={t}", lineno)
-    return tuple(map(parsed.__getitem__, toks))
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -240,14 +226,19 @@ def parse_instance(text: str) -> ProblemInstance:
     t = int(v1)
     if k2 != "xstar":
         _fail("third line must be 'xstar: ...'", l2)
-    parsed = {}
-    xstar = _split_row(G, t, "xstar", v2, l2, parsed)
-    hgens = []
-    for lineno, key, rest in fields[3:]:
-        if key != "gen":
+    # token -> element for this file: each distinct token is parsed once, and
+    # an error names the line being split, read from the loop below
+    parsed = Memo(lambda tok: parse_element(G, tok, lineno))
+    rows = []
+    for lineno, key, rest in fields[2:]:
+        if rows and key != "gen":
             _fail(f"unexpected line key {key!r}", lineno)
-        hgens.append(_split_row(G, t, "generator", rest, lineno, parsed))
-    return ProblemInstance._derived(G, t, xstar, tuple(hgens), parsed.values())
+        toks = rest.split()
+        rows.append(tuple(map(parsed.__getitem__, toks)))
+        if len(toks) != t:
+            name = "generator" if len(rows) > 1 else "xstar"
+            _fail(f"{name} has length {len(toks)}, expected t={t}", lineno)
+    return ProblemInstance._derived(G, t, rows[0], tuple(rows[1:]), parsed.values())
 
 
 # --- graphs (DIMACS-like) ----------------------------------------------------

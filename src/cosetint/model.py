@@ -1,11 +1,14 @@
-"""Instance data model and the brute-force search oracle.
+"""Instance data model, certificate checks and the search oracle.
 
 The decision problem: given a coset xstar + H of a subgroup H <= G^t,
 does it meet S^t?  The homogeneous variant fixes xstar = 0.  The oracle
-here is deliberately naive (pruned exhaustive search over each
-generator's multiples) -- it is the ground truth that every polynomial
-solver and every reduction is tested against, so it must be simple
-enough to trust by inspection.  Its one pruning rule: the coordinates
+here is an exact, budgeted depth-first search over each generator's
+multiples -- it decides the NP-complete cases, and every polynomial
+solver and every reduction is tested against it.  Its pruning and
+presolve keep the search order of the plain DFS and only cut nodes, and
+the tests cross-check it against the naive searches that it refines
+(`reference_oracle_solve` and `reference_order_oracle_solve` in
+`tests/helpers.py`).  Its one pruning rule: the coordinates
 that the same remaining generators R still move form a group, and a node
 fails when no digit tuple of R puts the whole group into S.  With R = {k}
 the check leaves the digits of generator k that do, and the node for k
@@ -17,9 +20,11 @@ Each cell object of an instance is checked once, where it enters: input
 from outside the package per object at the public constructor, parsed input
 per distinct token (`formats.parse_element`), and transform or gadget output
 per new object (`ProblemInstance._derived`); a cell copied from an instance
-is not checked again.  An instance keeps its distinct values
-(`ProblemInstance.entries`): the layers above compute once per entry, and
-each cell, a validated tuple of ints, looks its result up by value.
+is not checked again.  An instance holds a few distinct values in many
+cells, so a layer that computes something per cell does it through a
+`Memo`, a table that lives for one call and computes f(x) the first time
+a cell of value x is looked up: once per distinct value, and with no pass
+over the cells beyond the lookups themselves.
 
 Before the search, a presolve that keeps the search order and the
 smallest certificate: while the second half of the coordinates is the
@@ -33,8 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .groups import FiniteAbelianGroup, GroupElement, _prime_power_pieces
 
@@ -90,16 +95,13 @@ class ProblemInstance:
     cell-by-cell pass names the first error in cell order: xstar's
     length, its first bad entry, then each generator's length and its
     first bad entry.  Rows built inside the package go through
-    `_derived`, which checks only the objects they add.  `entries` lists
-    the distinct cell values in first-seen order; it is not part of eq,
-    hash or repr.
+    `_derived`, which checks only the objects they add.
     """
 
     group: FiniteAbelianGroup
     t: int
     xstar: Tuple[GroupElement, ...]
     hgens: Tuple[Tuple[GroupElement, ...], ...]
-    entries: Tuple[GroupElement, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.t < 0:
@@ -114,7 +116,6 @@ class ProblemInstance:
             raise ValueError(self._first_error(xstar, hgens))
         object.__setattr__(self, "xstar", xstar)
         object.__setattr__(self, "hgens", hgens)
-        object.__setattr__(self, "entries", tuple(dict.fromkeys(objects.values())))
 
     @classmethod
     def _derived(cls, group: FiniteAbelianGroup, t: int, xstar, hgens,
@@ -122,14 +123,13 @@ class ProblemInstance:
         """An instance on tuple rows built inside the package, each cell
         either a cell of an instance already checked or one of the objects
         in `new`.  Checks the row lengths and each object of `new`, and
-        takes `entries` by value; on a failure the public constructor
-        rebuilds the instance from the rows and names the error."""
+        reads no cell; on a failure the public constructor rebuilds the
+        instance from the rows and names the error."""
         rows = (xstar,) + hgens
         if any(len(row) != t for row in rows) or not all(map(group.contains, new)):
             return cls(group, t, xstar, hgens)
         inst = object.__new__(cls)
-        for name, value in (("group", group), ("t", t), ("xstar", xstar), ("hgens", hgens),
-                            ("entries", tuple(dict.fromkeys(chain.from_iterable(rows))))):
+        for name, value in (("group", group), ("t", t), ("xstar", xstar), ("hgens", hgens)):
             object.__setattr__(inst, name, value)
         return inst
 
@@ -154,10 +154,20 @@ class ProblemInstance:
         return all(e == zero for e in self.xstar)
 
 
-def entry_table(inst: ProblemInstance, f) -> Dict[GroupElement, object]:
-    """e -> f(e) for each distinct entry e of the instance.  Every cell is a
-    validated tuple of ints, so a cell looks up its image by value."""
-    return {e: f(e) for e in inst.entries}
+class Memo(dict):
+    """x -> f(x), computed the first time x is looked up and then kept.
+
+    Every cell of an instance is a validated tuple of ints, so cells of
+    equal value share one entry: mapping the cells through a memo calls f
+    once per distinct value."""
+
+    def __init__(self, f: Callable):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, x):
+        y = self[x] = self.f(x)
+        return y
 
 
 @dataclass(frozen=True)
@@ -174,16 +184,21 @@ class SolveResult:
 
 
 def witness_point(inst: ProblemInstance, cert: Sequence[int]) -> Tuple[GroupElement, ...]:
-    """xstar + sum(cert[i] * hgens[i]), computed coordinate-wise."""
+    """xstar + sum(cert[i] * hgens[i]), computed coordinate-wise.  A zero
+    cell adds nothing, and each generator scales each of its distinct
+    entries once."""
     if len(cert) != len(inst.hgens):
         raise ValueError(f"certificate length {len(cert)} != generator count {len(inst.hgens)}")
     G = inst.group
+    zero = G.zero()
     point = list(inst.xstar)
     for coeff, gen in zip(cert, inst.hgens):
         if coeff % G.exponent == 0:
             continue
-        for i in range(inst.t):
-            point[i] = G.add(point[i], G.scale(coeff, gen[i]))
+        scaled = Memo(partial(G.scale, coeff))
+        for i, e in enumerate(gen):
+            if e != zero:
+                point[i] = G.add(point[i], scaled[e])
     return tuple(point)
 
 
@@ -255,7 +270,7 @@ class _InS(dict):
 GROUP_CHECK_TUPLES = 64
 
 
-def _undouble(G: FiniteAbelianGroup, xstar, hgens, members: frozenset, entries):
+def _undouble(G: FiniteAbelianGroup, xstar, hgens, members: frozenset):
     """Undo doublings x -> (x, c*x + g) with c = +1 or -1 while t is even.
 
     When every generator's second half is c times its first half and
@@ -264,13 +279,12 @@ def _undouble(G: FiniteAbelianGroup, xstar, hgens, members: frozenset, entries):
     coset, so both lie in S iff coordinate i lies in S intersect
     c^-1(S - g).  The two also share their remaining generators, so the
     search over the first half against that subset makes every decision
-    of the search over both halves.  `entries` covers every cell.
-    Returns (xstar, hgens, members).
+    of the search over both halves.  Returns (xstar, hgens, members).
     """
     while xstar and len(xstar) % 2 == 0:
         h = len(xstar) // 2
         for c in (1, -1):
-            image = {e: G.scale(c, e) for e in entries}
+            image = Memo(partial(G.scale, c))
             if all(image[a] == b for gen in hgens for a, b in zip(gen, gen[h:])):
                 shifts = {G.sub(y, image[x]) for x, y in zip(xstar, xstar[h:])}
                 if len(shifts) == 1:
@@ -349,13 +363,13 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
     if budget < 1:
         raise ValueError("budget must be positive")
     G = inst.group
-    xstar, hgens, members = _undouble(G, inst.xstar, inst.hgens, S.elements, inst.entries)
+    xstar, hgens, members = _undouble(G, inst.xstar, inst.hgens, S.elements)
     t, ngens = len(xstar), len(hgens)
     zero = G.zero()
 
     # moves[k]: (coordinate, successor memo) for each nonzero entry of gen k;
     # orders[k]: the order of gen k modulo K^t, the lcm of its moved entries' periods
-    memos = {g: _Successors(G, g) for g in inst.entries}
+    memos = Memo(partial(_Successors, G))
     moves = [[(i, memos[g]) for i, g in enumerate(gen) if g != zero] for gen in hgens]
     moved = [{succ.g for _, succ in move} for move in moves]
     period = {g: _period(G, g, members) for g in set().union(*moved)}

@@ -7,17 +7,18 @@ one reduces 3-colorability to S = {0,1} over a cyclic group of order at
 least 4, the other reduces |G|-colorability to S = G minus zero.
 
 An instance holds a few distinct group elements in many cells, so the
-transformers compute the image of each of the instance's distinct entries
-(`ProblemInstance.entries`) once and map the cells through that table by
-value, and the gadgets fill their cells with a few shared element objects.
-Each output is built by `ProblemInstance._derived`, which checks only the
-objects that the step adds (its table's images, the gadget's elements, a
-zero or a kernel generator) and not the cells it copies from its input.
+transformers map the cells through a `model.Memo` that computes each
+distinct value's image once, as the cells are looked up, and the gadgets
+fill their cells with a few shared element objects.  Each output is built
+by `ProblemInstance._derived`, which checks only the objects that the step
+adds (its memo's images, the gadget's elements, a zero or a kernel
+generator) and not the cells it copies from its input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .groups import (
@@ -30,7 +31,7 @@ from .groups import (
     subgroup_membership,
 )
 from .classify import dilation_core
-from .model import Certificate, ProblemInstance, SubsetS, entry_table
+from .model import Certificate, Memo, ProblemInstance, SubsetS
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def translate_instance(inst: ProblemInstance, g: GroupElement) -> ProblemInstanc
     G = inst.group
     if not G.contains(g):
         raise ValueError(f"{g} not in group {G}")
-    shifted = entry_table(inst, lambda x: G.add(x, g))
+    shifted = Memo(lambda x: G.add(x, g))
     return ProblemInstance._derived(G, inst.t, _mapped(shifted, inst.xstar), inst.hgens,
                                     shifted.values())
 
@@ -100,7 +101,7 @@ def map_instance(inst: ProblemInstance, f: Homomorphism) -> ProblemInstance:
     if f.source != inst.group:
         raise ValueError("homomorphism source does not match instance group")
     check_injective(f)
-    image = entry_table(inst, f.apply)
+    image = Memo(f.apply)
     return ProblemInstance._derived(
         f.target,
         inst.t,
@@ -130,7 +131,7 @@ def divideout_lift(inst: ProblemInstance, G: FiniteAbelianGroup,
     if inst.group != qmap.group:
         raise ValueError("instance is not over the quotient of G by K")
     t = inst.t
-    lift = entry_table(inst, qmap.lift)
+    lift = Memo(qmap.lift)
     xstar = _mapped(lift, inst.xstar)
     lifted = [_mapped(lift, gen) for gen in inst.hgens]
     zero = G.zero()
@@ -157,8 +158,8 @@ def transform_double(inst: ProblemInstance, c: Homomorphism, g: GroupElement) ->
         raise ValueError("doubling needs an endomorphism of the instance group")
     if not G.contains(g):
         raise ValueError(f"{g} not in group {G}")
-    image = entry_table(inst, c.apply)
-    shifted = entry_table(inst, lambda x: G.add(image[x], g))
+    image = Memo(c.apply)
+    shifted = Memo(lambda x: G.add(image[x], g))
     xstar = inst.xstar + _mapped(shifted, inst.xstar)
     hgens = tuple(gen + _mapped(image, gen) for gen in inst.hgens)
     return ProblemInstance._derived(G, 2 * inst.t, xstar, hgens,
@@ -185,7 +186,7 @@ def pi_from_p(inst: ProblemInstance, S_prime: SubsetS,
     enum = tuple(order) if order is not None else S_prime.sorted_elements()
     check_pi_from_p(S_prime, enum)
     span = SubgroupGens(G, enum)
-    for e in inst.entries:
+    for e in set(chain(inst.xstar, *inst.hgens)):
         if subgroup_membership(span, e) is None:
             raise ValueError("instance data must lie in the span of the subset")
     n = len(enum)

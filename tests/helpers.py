@@ -479,6 +479,21 @@ def reference_validate(group, t, xstar, hgens):
     return xstar, hgens
 
 
+def reference_witness_point(inst, cert):
+    """xstar + sum(cert[i] * hgens[i]), scaling and adding every cell of
+    every generator whose coefficient is nonzero modulo the exponent."""
+    if len(cert) != len(inst.hgens):
+        raise ValueError(f"certificate length {len(cert)} != generator count {len(inst.hgens)}")
+    G = inst.group
+    point = list(inst.xstar)
+    for coeff, gen in zip(cert, inst.hgens):
+        if coeff % G.exponent == 0:
+            continue
+        for i in range(inst.t):
+            point[i] = G.add(point[i], G.scale(coeff, gen[i]))
+    return tuple(point)
+
+
 def reference_translate_instance(inst, g):
     G = inst.group
     if not G.contains(g):

@@ -56,6 +56,7 @@ from helpers import (
     reference_oracle_solve,
     reference_order_oracle_solve,
     reference_validate,
+    reference_witness_point,
     small_groups,
     span_bruteforce,
     unflatten,
@@ -113,15 +114,9 @@ def validation_error(G, t, xstar, hgens):
     inst = ProblemInstance(G, t, xstar, hgens)
     # repr tells True from 1, so the entries come out exactly as they went in
     assert repr((inst.xstar, inst.hgens)) == repr((ref_xstar, ref_hgens))
-    distinct = []
-    for e in ref_xstar + tuple(e for gen in ref_hgens for e in gen):
-        if e not in distinct:
-            distinct.append(e)
-    assert repr(inst.entries) == repr(tuple(distinct))
-    # entries is derived: equal cells held by other objects give an equal instance
+    # equal cells held by other objects give an equal instance
     copies = fresh_cells(inst)
     assert copies == inst and hash(copies) == hash(inst)
-    assert "entries" not in repr(inst)
     return None
 
 
@@ -225,7 +220,8 @@ class TestEqualValuesInDistinctObjects:
                 for other in self.variants(inst):
                     assert format_instance(other) == format_instance(inst)
                     got = apply_steps_to_instance([step], other)[0]
-                    assert got == out and got.entries == out.entries, step
+                    assert got == out, step
+                    assert repr((got.xstar, got.hgens)) == repr((out.xstar, out.hgens)), step
                     assert format_instance(got) == format_instance(out), step
                 seen.add(type(step))
                 inst = out
@@ -234,6 +230,50 @@ class TestEqualValuesInDistinctObjects:
                 got = oracle_solve(other, S)
                 assert (got, got.nodes) == (want, want.nodes), (variant, mods, elems)
         assert seen == self.STEP_KINDS
+
+
+class TestDerived:
+    def test_reads_no_cell(self):
+        class Unreadable(tuple):
+            def __iter__(self):
+                raise AssertionError("a row was read cell by cell")
+
+        one, zero = (1,), (0,)
+        xstar = Unreadable((one, zero, one))
+        hgens = (Unreadable((zero, one, one)), Unreadable((one, one, zero)))
+        inst = ProblemInstance._derived(Z4, 3, xstar, hgens, (one, zero))
+        assert inst.xstar is xstar and inst.hgens is hgens
+        assert (inst.group, inst.t) == (Z4, 3)
+
+
+class TestWitnessPoint:
+    def test_matches_cell_by_cell_reference(self):
+        rng = random.Random(16)
+        for G in small_groups(8):
+            for _ in range(30):
+                inst = random_instance(rng, G, max_t=5, max_gens=4)
+                # negative coefficients and coefficients past the exponent
+                bound = 2 * G.exponent
+                cert = tuple(rng.randint(-bound, bound) for _ in inst.hgens)
+                assert witness_point(inst, cert) == reference_witness_point(inst, cert)
+
+    def test_scales_each_distinct_entry_once_per_coefficient(self, monkeypatch):
+        inst, _ = gadget_s01(complete_graph(4), FiniteAbelianGroup((5,)))
+        cert = tuple(k % 7 - 3 for k in range(len(inst.hgens)))
+        want = reference_witness_point(inst, cert)
+        zero = inst.group.zero()
+        bound = sum(len({e for e in gen if e != zero})
+                    for coeff, gen in zip(cert, inst.hgens) if coeff % 5)
+        calls = []
+        scale = FiniteAbelianGroup.scale
+
+        def counting_scale(self, c, x):
+            calls.append((c, x))
+            return scale(self, c, x)
+
+        monkeypatch.setattr(FiniteAbelianGroup, "scale", counting_scale)
+        assert witness_point(inst, cert) == want
+        assert 0 < len(calls) <= bound < inst.t
 
 
 class TestVerifyCertificate:
@@ -590,7 +630,7 @@ class TestPresolve:
         res = oracle_solve(twice, S)
         assert (res, res.nodes) == (fixed, fixed.nodes)
         members = phi_fixed_subset(inner, scaling_hom(Z6, -1), (3,)).elements
-        assert _undouble(Z6, twice.xstar, twice.hgens, S.elements, twice.entries) == (
+        assert _undouble(Z6, twice.xstar, twice.hgens, S.elements) == (
             inst.xstar, inst.hgens, members)
 
     def test_periodic_subsets(self):

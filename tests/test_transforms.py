@@ -11,7 +11,7 @@ from cosetint.groups import (
     quotient_group,
     scaling_hom,
 )
-from cosetint import hardness
+from cosetint import formats, hardness
 from cosetint.formats import format_instance, parse_instance
 from cosetint.hardness import apply_pipeline, compile_hardness
 from cosetint.model import ProblemInstance, SubsetS, oracle_solve, verify_certificate
@@ -580,8 +580,9 @@ class TestMatchesCellByCellReference:
 @pytest.fixture
 def derived_checked(monkeypatch):
     """Rebuild every instance that `ProblemInstance._derived` returns with
-    the public constructor on the same rows: it must be equal and list the
-    same entries in the same order.  Returns the list of checked instances."""
+    the public constructor on the same rows: it must be equal and hold
+    cells of the same types (repr tells True from 1).  Returns the list of
+    checked instances."""
     derived = ProblemInstance._derived
     checked = []
 
@@ -589,8 +590,7 @@ def derived_checked(monkeypatch):
         inst = derived(group, t, xstar, hgens, new)
         want = ProblemInstance(group, t, xstar, hgens)
         assert inst == want
-        assert repr((inst.xstar, inst.hgens, inst.entries)) == repr(
-            (want.xstar, want.hgens, want.entries))
+        assert repr((inst.xstar, inst.hgens)) == repr((want.xstar, want.hgens))
         checked.append(inst)
         return inst
 
@@ -600,7 +600,8 @@ def derived_checked(monkeypatch):
 
 def round_trip(inst):
     back = parse_instance(format_instance(inst))
-    assert back == inst and back.entries == inst.entries
+    assert back == inst
+    assert repr((back.xstar, back.hgens)) == repr((inst.xstar, inst.hgens))
 
 
 class TestDerivedMatchesPublicConstructor:
@@ -658,6 +659,27 @@ class TestDerivedMatchesPublicConstructor:
                 if G.dim == 1 and G.order >= 4:
                     round_trip(gadget_s01(graph, G)[0])
         assert len(derived_checked) > 40
+
+
+def test_formats_each_distinct_value_once(replay_pipelines, monkeypatch):
+    calls = Counter()
+    format_element = formats.format_element
+
+    def counting_format(e):
+        calls[e] += 1
+        return format_element(e)
+
+    graph, = gnm_graphs(7, 1)
+    for pipe in replay_pipelines.values():
+        inst, _ = apply_pipeline(pipe, graph)
+        want = format_instance(inst)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(formats, "format_element", counting_format)
+            assert format_instance(inst) == want
+        cells = [e for row in (inst.xstar,) + inst.hgens for e in row]
+        assert set(calls) == set(cells) and max(calls.values()) == 1
+        assert len(cells) > 10 * len(calls)
 
 
 class TestWorkPerDistinctEntry:
