@@ -1,42 +1,22 @@
 """Polynomial-time deciders for the tractable classifier verdicts.
 
-Both reduce to one subgroup membership test in G^t: a coset x* + H
-meets (a + G')^t exactly when (a,...,a) - x* lies in H + G'^t.  The
-homogeneous variant first shrinks S to its dilation core, which never
-changes the answer and is a coset precisely in the tractable cases.
+Both reduce to one membership test.  With S = a + G' a coset and
+Q = G/G', the coset x* + H meets S^t exactly when the projection of
+(a,...,a) - x* into Q^t lies in the span of the projected generators of
+H: one linear system over Q^t with t*dim(Q) rows and one column per
+H-generator, whose solution is the certificate.  G' enters only through
+the quotient, built once from its echelon pivots.  The homogeneous
+variant first shrinks S to its dilation core, which never changes the
+answer and is a coset precisely in the tractable cases.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from operator import mul
 
-from .groups import (
-    FiniteAbelianGroup,
-    SubgroupGens,
-    subgroup_membership,
-    subgroup_reduce_gens,
-)
+from .groups import SubgroupGens, _echelon, quotient_group, solve_linear_congruence
 from .classify import dilation_core, is_coset
 from .model import ProblemInstance, SolveResult, SubsetS
-
-
-def _flatten(seq) -> Tuple[int, ...]:
-    out: List[int] = []
-    for e in seq:
-        out.extend(e)
-    return tuple(out)
-
-
-def _position_gens(G: FiniteAbelianGroup, t: int, gens) -> List[Tuple[int, ...]]:
-    """Generators of G'^t inside flattened G^t: each G'-generator at each slot."""
-    d = G.dim
-    out = []
-    for i in range(t):
-        for k in gens:
-            flat = [0] * (d * t)
-            flat[d * i:d * (i + 1)] = list(k)
-            out.append(tuple(flat))
-    return out
 
 
 def solve_affine_coset(inst: ProblemInstance, S: SubsetS) -> SolveResult:
@@ -53,17 +33,21 @@ def solve_affine_coset(inst: ProblemInstance, S: SubsetS) -> SolveResult:
     base, sub = hit
     if t == 0:
         return SolveResult("yes", nzero)
-    Gt = G.power(t)
-    target = Gt.sub(_flatten([base] * t), _flatten(inst.xstar))
-    # is_coset lists every element of the subgroup as a generator; each kept
-    # generator at least doubles the span, so at most log2|G'| per slot remain
-    sub = subgroup_reduce_gens(sub)
-    gens = [_flatten(g) for g in inst.hgens] + _position_gens(G, t, sub.gens)
-    coeffs = subgroup_membership(SubgroupGens(Gt, tuple(gens)), target)
+    # at most G.dim pivots span G'; is_coset lists all |G'| elements
+    pivots, _ = _echelon(sub.gens, G.moduli, G.dim)
+    qm = quotient_group(G, SubgroupGens(G, tuple(col for _, _, col in pivots)))
+    qmod = qm.group.moduli
+    if not qmod:
+        return SolveResult("yes", nzero)  # G' = G, so S^t is all of G^t
+    mat, rhs = [], []
+    for i, x in enumerate(inst.xstar):
+        for row, q in zip(qm.proj.matrix, qmod):
+            mat.append([sum(map(mul, row, g[i])) % q for g in inst.hgens])
+            rhs.append((sum(map(mul, row, base)) - sum(map(mul, row, x))) % q)
+    coeffs = solve_linear_congruence(mat, rhs, qmod * t)
     if coeffs is None:
         return SolveResult("no")
-    cert = tuple(c % G.exponent for c in coeffs[: len(inst.hgens)])
-    return SolveResult("yes", cert)
+    return SolveResult("yes", tuple(c % G.exponent for c in coeffs))
 
 
 def solve_homogeneous_core(inst: ProblemInstance, S: SubsetS) -> SolveResult:

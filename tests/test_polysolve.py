@@ -4,12 +4,20 @@ import time
 import pytest
 
 import cosetint.groups
+import cosetint.polysolve
 from cosetint.groups import FiniteAbelianGroup
 from cosetint.classify import IN_P, classify_affine, classify_homogeneous
 from cosetint.model import ProblemInstance, SubsetS, oracle_solve, verify_certificate
 from cosetint.polysolve import solve_affine_coset, solve_homogeneous_core
 
-from helpers import random_coset_subset, small_groups
+from helpers import (
+    all_subgroups,
+    random_coset_subset,
+    random_element,
+    reference_oracle_solve,
+    small_groups,
+    span_bruteforce,
+)
 
 Z4 = FiniteAbelianGroup((4,))
 
@@ -69,6 +77,33 @@ class TestAffine:
             if fast.kind == "yes":
                 assert verify_certificate(inst, S, fast.certificate)
             checked += 1
+
+
+# mixed moduli; Z_3 x Z_2 and Z_4 x Z_2 are not canonical, so even G/0 has other moduli
+NONCANONICAL = [FiniteAbelianGroup((3, 2)), FiniteAbelianGroup((2, 6)), FiniteAbelianGroup((4, 2))]
+
+
+@pytest.mark.parametrize("G", NONCANONICAL, ids=lambda G: "x".join(map(str, G.moduli)))
+def test_every_coset_agrees_with_reference_oracle(G):
+    # every coset, from single points (G' = 0) to S = G (Q trivial), on
+    # instances with t = 0, with zero generators, and random ones
+    rng = random.Random(G.order)
+    cosets = {frozenset(G.add(b, k) for k in K) for K in all_subgroups(G) for b in G.elements()}
+    assert any(len(c) == 1 for c in cosets) and any(len(c) == G.order for c in cosets)
+    for elems in sorted(cosets, key=sorted):
+        S = SubsetS.of(G, elems)
+        x2 = tuple(random_element(rng, G) for _ in range(2))
+        insts = [
+            ProblemInstance(G, 0, (), ()),
+            ProblemInstance(G, 0, (), ((), ())),
+            ProblemInstance(G, 2, x2, ()),
+        ] + [random_instance(rng, G, max_t=3, max_gens=3) for _ in range(6)]
+        for inst in insts:
+            fast = solve_affine_coset(inst, S)
+            ref, _ = reference_oracle_solve(inst, S)
+            assert fast.kind == ref.kind, (G, sorted(elems), inst)
+            if fast.kind == "yes":
+                assert verify_certificate(inst, S, fast.certificate)
 
 
 class TestHomogeneous:
@@ -131,10 +166,33 @@ def test_scales_to_desk_size():
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
-def test_desk_size_system_has_one_column_per_subgroup_generator(monkeypatch):
+def test_scales_to_desk_size_mixed_moduli():
+    # a planted yes over mixed moduli, with S a coset of a subgroup of
+    # order 12, so Q = G/G' is Z_2 x Z_12
+    G = FiniteAbelianGroup((2, 6, 24))
+    rng = random.Random(1)
+    t = 64
+    S = SubsetS.of(G, [G.add((1, 5, 7), k) for k in span_bruteforce(G, [(1, 3, 0), (0, 2, 12)])])
+    hgens = tuple(tuple(random_element(rng, G) for _ in range(t)) for _ in range(64))
+    cert = tuple(rng.randrange(G.exponent) for _ in hgens)
+    xstar = []
+    for i in range(t):
+        x = rng.choice(sorted(S.elements))
+        for c, g in zip(cert, hgens):
+            x = G.sub(x, G.scale(c, g[i]))
+        xstar.append(x)
+    inst = ProblemInstance(G, t, tuple(xstar), hgens)
+    start = time.monotonic()
+    res = solve_affine_coset(inst, S)
+    elapsed = time.monotonic() - start
+    assert res.kind == "yes" and verify_certificate(inst, S, res.certificate)
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_desk_size_system_has_no_column_for_the_subgroup(monkeypatch):
     # the instance of test_scales_to_desk_size: S is a coset of <32> in Z_256,
-    # whose 8 elements must enter the system as one generator per slot,
-    # 64 H-generators + 64 slots = 128 columns
+    # decided in Q = Z_256/<32> = Z_32 by one system with dim(Q) = 1 row per
+    # slot and one column per H-generator, none for the subgroup: 64 x 64
     G = FiniteAbelianGroup((256,))
     rng = random.Random(1)
     S = SubsetS.of(G, [G.add((7,), G.scale(k, (32,))) for k in range(8)])
@@ -147,6 +205,7 @@ def test_desk_size_system_has_one_column_per_subgroup_generator(monkeypatch):
         shapes.append((len(mat), len(mat[0]) if mat else 0))
         return solve(mat, rhs, moduli)
 
-    monkeypatch.setattr(cosetint.groups, "solve_linear_congruence", recording)
+    for module in (cosetint.groups, cosetint.polysolve):
+        monkeypatch.setattr(module, "solve_linear_congruence", recording)
     solve_affine_coset(inst, S)
-    assert [s for s in shapes if s[0] == 64] == [(64, 128)]
+    assert shapes == [(64, 64)]
