@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .groups import FiniteAbelianGroup, GroupElement, SubgroupGens, span_order
+from .groups import FiniteAbelianGroup, GroupElement, SubgroupGens, idempotents, span_order
 from .model import SubsetS
 
 IN_P = "in-P"
@@ -69,12 +69,14 @@ def is_coset(S: SubsetS):
 
 def dilation_core(S: SubsetS) -> SubsetS:
     """Intersection of the dilates aS inside S.  A power e of each such a is
-    an idempotent mod the exponent with eS inside aS, so those e suffice."""
+    an idempotent mod the exponent with eS inside aS, so those e suffice;
+    they come from the exponent's factorisation, with no scan of Z_exponent."""
     G = S.group
     core = S.elements  # a = 1
-    for e in range(G.exponent):
-        if e * e % G.exponent == e and all(G.scale(e, x) in S.elements for x in S.elements):
-            core = core.intersection(G.scale(e, x) for x in S.elements)
+    for e in idempotents(G.exponent):
+        dilate = frozenset(G.scale(e, x) for x in S.elements)
+        if dilate <= S.elements:
+            core = core & dilate
     return SubsetS(G, core)
 
 

@@ -5,8 +5,8 @@ coordinate i reduced mod d_i.  Three deterministic routines do the linear
 algebra:
 
 - `solve_linear_congruence` (membership, preimages, one preimage to lift):
-  row elimination mod each prime power of the lcm of the moduli, combined
-  by CRT;
+  row elimination mod each prime power of the lcm of the moduli, every row
+  scaled to that prime power, combined by CRT;
 - `_echelon` (kernels, the order of a span, a quotient's lexicographically
   smallest lifts, and through both the presentation of a span): a column
   echelon basis over mixed moduli with extended-gcd pivots;
@@ -274,17 +274,17 @@ def span_order(G: FiniteAbelianGroup, gens) -> int:
 _TRIAL_DIVISION_LIMIT = 2**10
 
 
-def _prime_power_pieces(M: int) -> List[Tuple[int, int]]:
+def _prime_power_pieces(M: int, limit: int = _TRIAL_DIVISION_LIMIT) -> List[Tuple[int, int]]:
     """Coprime pieces (d, e) with M == prod(d**e).
 
-    Every prime up to _TRIAL_DIVISION_LIMIT is found by trial division; a
-    cofactor left over (no prime factor at or below the limit) is returned
-    as one piece (cofactor, 1), to be split only if elimination finds a
-    zero divisor in it.
+    Every prime up to `limit` is found by trial division; a cofactor left
+    over (no prime factor at or below the limit) is returned as one piece
+    (cofactor, 1), to be split only if elimination finds a zero divisor in
+    it.  With limit >= sqrt(M) every piece is a prime power.
     """
     pieces = []
     p = 2
-    while p <= _TRIAL_DIVISION_LIMIT and p * p <= M:
+    while p <= limit and p * p <= M:
         if M % p == 0:
             e = 0
             while M % p == 0:
@@ -295,6 +295,17 @@ def _prime_power_pieces(M: int) -> List[Tuple[int, int]]:
     if M > 1:
         pieces.append((M, 1))
     return pieces
+
+
+def idempotents(N: int) -> List[int]:
+    """All e in Z_N with e*e == e: 0 or 1 modulo each prime power of N,
+    combined by CRT from N's full factorisation (2**omega(N) of them)."""
+    found = [0]
+    for p, k in _prime_power_pieces(N, limit=N):
+        q = p**k
+        c = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod N/q
+        found += [(e + c) % N for e in found]
+    return found
 
 
 def _coprime_base(nums: Sequence[int]) -> List[int]:
@@ -340,8 +351,11 @@ class _ZeroDivisor(Exception):
 
 
 def _solve_prime_power(mat, rhs, moduli, d: int, e: int) -> Optional[List[int]]:
-    """One solution of the moduli-augmented system mod q = d**e, or None.
+    """One solution of the system mod q = d**e, or None.
 
+    Row i mod moduli[i] is the same congruence mod q once it and its
+    right-hand side are multiplied by q / gcd(moduli[i], q), so every row is
+    scaled (to zero if its modulus is coprime to q), smallest scale first.
     Row elimination in which every pivot is d**w times a unit, where w is
     the least d-valuation left in the remaining block, so the pivot divides
     its whole row and column.  Rows are swapped and combined in place; the
@@ -353,13 +367,10 @@ def _solve_prime_power(mat, rhs, moduli, d: int, e: int) -> Optional[List[int]]:
     q = d**e
     m = len(rhs)
     n = len(mat[0]) if m else 0
-    # a row's modulus enters as one slack column, unless it vanishes mod q
-    slack = [i for i in range(m) if moduli[i] % q]
-    rows = [
-        [v % q for v in mat[i]] + [moduli[i] % q if s == i else 0 for s in slack]
-        for i in range(m)
-    ]
-    b = [v % q for v in rhs]
+    scale = [q // math.gcd(mi, q) for mi in moduli]
+    order = sorted(range(m), key=scale.__getitem__)
+    rows = [[v * scale[i] % q for v in mat[i]] for i in order]
+    b = [rhs[i] * scale[i] % q for i in order]
     pivots = []  # (column, d**w, inverse of the unit part mod q)
     w, dw = 0, 1  # the least valuation never decreases from one step to the next
     r = 0
@@ -400,12 +411,12 @@ def _solve_prime_power(mat, rhs, moduli, d: int, e: int) -> Optional[List[int]]:
         r += 1
     if any(b[r:]):
         return None  # a zero row with a nonzero right-hand side
-    z = [0] * (n + len(slack))
+    z = [0] * n
     for r in reversed(range(len(pivots))):
         j, dw, uinv = pivots[r]
         s = (b[r] - sum(a * c for a, c in zip(rows[r], z))) % q
         z[j] = s // dw * uinv % (q // dw)
-    return z[:n]
+    return z
 
 
 def solve_linear_congruence(
@@ -419,12 +430,13 @@ def solve_linear_congruence(
     or None when the system is infeasible.  An empty matrix means no
     constraints and yields the empty solution.
 
-    The system is augmented with the diagonal of the moduli and solved
-    separately mod each prime power p**k of M, by row elimination that
-    pivots on least p-valuation (see `_solve_prime_power`); the parts are
-    combined by the Chinese remainder theorem.  Any modulus works: primes
-    up to _TRIAL_DIVISION_LIMIT come from trial division, and a larger
-    cofactor is split by gcd only when elimination meets a zero divisor.
+    The system is solved separately mod each prime power p**k of M, every
+    row and its right-hand side scaled to modulus p**k, by row elimination
+    that pivots on least p-valuation (see `_solve_prime_power`); the parts
+    are combined by the Chinese remainder theorem.  Any modulus works:
+    primes up to _TRIAL_DIVISION_LIMIT come from trial division, and a
+    larger cofactor is split by gcd only when elimination meets a zero
+    divisor.
     """
     m = len(moduli)
     if len(mat) != m or len(rhs) != m:

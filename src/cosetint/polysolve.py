@@ -12,10 +12,11 @@ answer and is a coset precisely in the tractable cases.
 
 from __future__ import annotations
 
+import math
 from operator import mul
 
 from .groups import SubgroupGens, _echelon, quotient_group, solve_linear_congruence
-from .classify import dilation_core, is_coset
+from .classify import dilation_core
 from .model import ProblemInstance, SolveResult, SubsetS
 
 
@@ -27,14 +28,13 @@ def solve_affine_coset(inst: ProblemInstance, S: SubsetS) -> SolveResult:
     nzero = (0,) * len(inst.hgens)
     if not S.elements:
         return SolveResult("yes", nzero) if t == 0 else SolveResult("no")
-    hit = is_coset(S)
-    if hit is None:
+    base = min(S.elements)
+    # at most G.dim pivots span G' = span(S - base); S is a coset iff |G'| == |S|
+    pivots, _ = _echelon(sorted(G.sub(x, base) for x in S.elements), G.moduli, G.dim)
+    if math.prod(G.moduli[i] // d for i, d, _ in pivots) != len(S):
         raise ValueError("fast path needs S (its dilation core if x* = 0) empty or a coset")
-    base, sub = hit
     if t == 0:
         return SolveResult("yes", nzero)
-    # at most G.dim pivots span G'; is_coset lists all |G'| elements
-    pivots, _ = _echelon(sub.gens, G.moduli, G.dim)
     qm = quotient_group(G, SubgroupGens(G, tuple(col for _, _, col in pivots)))
     qmod = qm.group.moduli
     if not qmod:

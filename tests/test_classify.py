@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cosetint.groups import FiniteAbelianGroup, SubgroupGens, subgroup_enumerate
+from cosetint.groups import FiniteAbelianGroup, SubgroupGens, idempotents, subgroup_enumerate
 from cosetint.classify import (
     IN_P,
     NP_COMPLETE,
@@ -109,6 +109,30 @@ class TestDilationCore:
                     assert core.elements == {G.zero()}
                 else:
                     assert core.elements == S.elements
+
+
+class TestIdempotents:
+    def test_matches_scan(self):
+        for N in range(1, 5001):
+            assert sorted(idempotents(N)) == [e for e in range(N) if e * e % N == e], N
+
+    @pytest.mark.parametrize(
+        "N, expected",
+        [
+            # 0 or 1 mod 1031 and mod 1033, both primes above trial division
+            (1031 * 1033, [0, 1, 531996, 533028]),
+            (2 * 1031 * 1033, [0, 1, 531996, 533028, 1065023, 1065024, 1597019, 1598051]),
+        ],
+    )
+    def test_cofactor_above_trial_division(self, N, expected):
+        assert sorted(idempotents(N)) == expected
+        assert all(e * e % N == e for e in expected)
+
+    def test_core_over_composite_cofactor(self):
+        # e = 531996 sends {1, e} to {e}; with only 0 and 1 the core stays {1, e}
+        G = FiniteAbelianGroup((1031 * 1033,))
+        S = SubsetS.of(G, [(1,), (531996,)])
+        assert dilation_core(S).elements == {(531996,)}
 
 
 class TestMatchesScanReferences:

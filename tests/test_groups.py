@@ -10,6 +10,7 @@ from cosetint.groups import (
     FiniteAbelianGroup,
     Homomorphism,
     SubgroupGens,
+    _split_piece,
     hom_preimage,
     kernel_of_hom,
     quotient_group,
@@ -228,6 +229,9 @@ class TestSolveLinearCongruence:
             (24, 48, (12, 60)),
             (32, 48, (4096,)),
             (12, 16, ((2**31 - 1) * (2**61 - 1),)),
+            # rows mod 9 are coprime to the piece 8 and rows mod 8 to the
+            # piece 9, so each scales to a zero row there
+            (18, 12, (9, 8, 72)),
         ],
     )
     def test_planted(self, m, n, moduli):
@@ -269,6 +273,36 @@ class TestSolveLinearCongruence:
                         assert got is not None and self.satisfies(A, b, moduli, got)
                     else:
                         assert got is None
+
+
+    @pytest.mark.parametrize(
+        "moduli",
+        [
+            (1031, 1031 * 1033, 8, 8 * 1031 * 1033),
+            (1031**2, 1031**3 * 1033, 8, 8 * 1031**3 * 1033),
+        ],
+    )
+    def test_scaled_rows_split_the_cofactor(self, moduli, monkeypatch):
+        # the cofactor above trial division is one piece q; a row mod a proper
+        # factor of it is scaled by the rest of q, so its pivots are zero
+        # divisors, and the piece must be split for the answer to be right
+        splits = []
+        monkeypatch.setattr(
+            "cosetint.groups._split_piece",
+            lambda *args: splits.append(args) or _split_piece(*args),
+        )
+        rng = random.Random(moduli[0])
+        for m, n in ((4, 4), (8, 8), (12, 10)):
+            rows = [moduli[i % len(moduli)] for i in range(m)]
+            for feasible in (True, False):
+                for _ in range(5):
+                    A, b = self.planted(rng, m, n, rows, feasible)
+                    got = solve_linear_congruence(A, b, rows)
+                    if feasible:
+                        assert got is not None and self.satisfies(A, b, rows, got)
+                    else:
+                        assert got is None
+        assert splits
 
 
 class TestGroupBasics:

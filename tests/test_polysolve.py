@@ -50,9 +50,10 @@ class TestAffine:
         assert solve_affine_coset(no, S).kind == "no"
 
     def test_rejects_non_coset(self):
-        inst = ProblemInstance(Z4, 1, ((0,),), ())
-        with pytest.raises(ValueError):
-            solve_affine_coset(inst, SubsetS.of(Z4, [(0,), (1,)]))
+        for t in (0, 1):
+            inst = ProblemInstance(Z4, t, ((0,),) * t, ())
+            with pytest.raises(ValueError, match="empty or a coset"):
+                solve_affine_coset(inst, SubsetS.of(Z4, [(0,), (1,)]))
 
     def test_certificate_is_over_original_generators(self):
         S = SubsetS.of(Z4, [(1,), (3,)])
@@ -79,11 +80,15 @@ class TestAffine:
             checked += 1
 
 
-# mixed moduli; Z_3 x Z_2 and Z_4 x Z_2 are not canonical, so even G/0 has other moduli
-NONCANONICAL = [FiniteAbelianGroup((3, 2)), FiniteAbelianGroup((2, 6)), FiniteAbelianGroup((4, 2))]
+# mixed moduli; Z_3 x Z_2 and Z_4 x Z_2 are not canonical, so even G/0 has other
+# moduli; over Z_2 x Z_8 and Z_2 x Z_2 x Z_4 the rows of (G/G')^t have several
+# moduli inside the one 2-power piece, so the solver scales them by different factors
+MIXED_MODULI = [
+    FiniteAbelianGroup(moduli) for moduli in ((3, 2), (2, 6), (4, 2), (2, 8), (2, 2, 4))
+]
 
 
-@pytest.mark.parametrize("G", NONCANONICAL, ids=lambda G: "x".join(map(str, G.moduli)))
+@pytest.mark.parametrize("G", MIXED_MODULI, ids=lambda G: "x".join(map(str, G.moduli)))
 def test_every_coset_agrees_with_reference_oracle(G):
     # every coset, from single points (G' = 0) to S = G (Q trivial), on
     # instances with t = 0, with zero generators, and random ones
