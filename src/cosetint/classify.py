@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .groups import FiniteAbelianGroup, GroupElement, SubgroupGens, idempotents, span_order
+from .groups import FiniteAbelianGroup, GroupElement, SubgroupGens, idempotents, span_basis
 from .model import SubsetS
 
 IN_P = "in-P"
@@ -30,41 +30,38 @@ class Classification:
     difference: Optional[GroupElement] = None
 
     def describe(self) -> str:
-        fmt = _element_formatter(self)
         if self.reason == "empty-set":
             return f"{self.verdict} (S is empty)"
         if self.reason == "coset":
-            gens = ",".join(fmt(g) for g in self.subgroup.gens) or "0"
-            return f"{self.verdict} (S is a coset: base {fmt(self.base)}, subgroup <{gens}>)"
+            gens = ",".join(map(_fmt, self.subgroup.gens or [self.subgroup.group.zero()]))
+            return f"{self.verdict} (S is a coset: base {_fmt(self.base)}, subgroup <{gens}>)"
         if self.reason == "two-element":
-            return f"{self.verdict} (S not a coset; |S|=2, d={fmt(self.difference)})"
+            return f"{self.verdict} (S not a coset; |S|=2, d={_fmt(self.difference)})"
         if self.reason == "non-coset":
             s, a, b = self.witness
-            return f"{self.verdict} (S not a coset; witness s={fmt(s)}, a={fmt(a)}, b={fmt(b)})"
-        core = "{" + ",".join(fmt(e) for e in self.core.sorted_elements()) + "}"
+            return f"{self.verdict} (S not a coset; witness s={_fmt(s)}, a={_fmt(a)}, b={_fmt(b)})"
+        core = "{" + ",".join(_fmt(e) for e in self.core.sorted_elements()) + "}"
         if self.reason == "core-coset":
             return f"{self.verdict} (dilation core {core} is a coset)"
         return f"{self.verdict} (dilation core {core} is not a coset)"
 
 
-def _element_formatter(cls):
-    def fmt(e):
-        if len(e) == 1:
-            return str(e[0])
-        return "(" + ",".join(str(c) for c in e) + ")"
-    return fmt
+def _fmt(e) -> str:
+    """A bare residue in a cyclic group, else a parenthesised tuple."""
+    return str(e[0]) if len(e) == 1 else "(" + ",".join(map(str, e)) + ")"
 
 
 def is_coset(S: SubsetS):
-    """(base, subgroup gens) if S - min(S), which holds 0, is its own span, else None."""
+    """(min(S), the at most G.dim echelon pivots of the sorted S - min(S)) if
+    S - min(S), which holds 0, is its own span, else None."""
     if not S.elements:
         return None
     G = S.group
     base = min(S.elements)
-    diffs = frozenset(G.sub(e, base) for e in S.elements)
-    if span_order(G, diffs) != len(diffs):
+    order, gens = span_basis(G, sorted(G.sub(e, base) for e in S.elements))
+    if order != len(S):
         return None
-    return base, SubgroupGens(G, tuple(sorted(diffs)))
+    return base, SubgroupGens(G, gens)
 
 
 def dilation_core(S: SubsetS) -> SubsetS:

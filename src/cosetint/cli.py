@@ -177,6 +177,8 @@ def _cmd_gen(ns: argparse.Namespace) -> int:
         raise ContractError("gen needs --group for this kind")
     if ns.kind == "graph" and not ns.n:
         raise ContractError("gen --kind graph needs --n")
+    if any(n is not None and n < 0 for n in (ns.t, ns.gens)):
+        raise ContractError("gen --t and --gens must be nonnegative")
     rng = random.Random(ns.seed)
     header = [f"seed: {ns.seed}", f"kind: {ns.kind}"]
     if ns.kind == "graph":
@@ -196,8 +198,8 @@ def _cmd_gen(ns: argparse.Namespace) -> int:
             # the same draw as rng.choice(tuple(G.elements())), without listing G
             return G.element_at(rng.randrange(G.order))
 
-        t = ns.t or rng.randint(1, 3)
-        ngens = ns.gens or rng.randint(1, 3)
+        t = rng.randint(1, 3) if ns.t is None else ns.t
+        ngens = rng.randint(1, 3) if ns.gens is None else ns.gens
         xstar = tuple(draw() for _ in range(t))
         hgens = tuple(tuple(draw() for _ in range(t)) for _ in range(ngens))
         text = formats.format_instance(

@@ -7,9 +7,9 @@ algebra:
 - `solve_linear_congruence` (membership, preimages, one preimage to lift):
   row elimination mod each prime power of the lcm of the moduli, every row
   scaled to that prime power, combined by CRT;
-- `_echelon` (kernels, the order of a span, a quotient's lexicographically
-  smallest lifts, and through both the presentation of a span): a column
-  echelon basis over mixed moduli with extended-gcd pivots;
+- `_echelon` (kernels, a quotient's smallest lifts, and `span_basis`: a span's
+  order and at most dim(G) pivots, which present every span and coset): a
+  column echelon basis over mixed moduli with extended-gcd pivots;
 - `smith_normal_form` (a quotient's invariant factors and projection):
   exact integer Smith normal form.
 
@@ -263,10 +263,12 @@ def _echelon(cols: Sequence[Sequence[int]], moduli: Sequence[int], nclear: int):
     return pivots, cols
 
 
-def span_order(G: FiniteAbelianGroup, gens) -> int:
-    """Order of span(gens): by the Howell property, prod moduli[i] / d over the pivots."""
+def span_basis(G: FiniteAbelianGroup, gens) -> Tuple[int, Tuple[GroupElement, ...]]:
+    """(order, pivot columns) of span(gens): the at most G.dim echelon pivots
+    generate the span, and by the Howell property its order is
+    prod moduli[i] / d over them."""
     pivots, _ = _echelon(gens, G.moduli, G.dim)
-    return math.prod(G.moduli[i] // d for i, d, _ in pivots)
+    return math.prod(G.moduli[i] // d for i, d, _ in pivots), tuple(c for *_, c in pivots)
 
 
 # Trial division up to this bound factors every modulus up to its square,
@@ -655,8 +657,8 @@ def subgroup_abstract(sub: SubgroupGens):
     column r of emb is the image of the lift of A's r-th standard generator.
     """
     G = sub.group
-    # redundant generators only inflate the relation matrix; drop them first
-    gens = subgroup_reduce_gens(sub).gens
+    # redundant generators only inflate the relation matrix: present the pivots
+    _, gens = span_basis(G, sub.gens)
     src = FiniteAbelianGroup((G.exponent,) * len(gens))
     hom = Homomorphism(src, G, tuple(tuple(g[i] for g in gens) for i in range(G.dim)))
     qm = quotient_group(src, kernel_of_hom(hom))

@@ -5,18 +5,18 @@ Q = G/G', the coset x* + H meets S^t exactly when the projection of
 (a,...,a) - x* into Q^t lies in the span of the projected generators of
 H: one linear system over Q^t with t*dim(Q) rows and one column per
 H-generator, whose solution is the certificate.  G' enters only through
-the quotient, built once from its echelon pivots.  The homogeneous
+the quotient, built once from the at most dim(G) echelon pivots that
+`classify.is_coset` returns with the coset test.  The homogeneous
 variant first shrinks S to its dilation core, which never changes the
 answer and is a coset precisely in the tractable cases.
 """
 
 from __future__ import annotations
 
-import math
 from operator import mul
 
-from .groups import SubgroupGens, _echelon, quotient_group, solve_linear_congruence
-from .classify import dilation_core
+from .groups import quotient_group, solve_linear_congruence
+from .classify import dilation_core, is_coset
 from .model import ProblemInstance, SolveResult, SubsetS
 
 
@@ -28,14 +28,13 @@ def solve_affine_coset(inst: ProblemInstance, S: SubsetS) -> SolveResult:
     nzero = (0,) * len(inst.hgens)
     if not S.elements:
         return SolveResult("yes", nzero) if t == 0 else SolveResult("no")
-    base = min(S.elements)
-    # at most G.dim pivots span G' = span(S - base); S is a coset iff |G'| == |S|
-    pivots, _ = _echelon(sorted(G.sub(x, base) for x in S.elements), G.moduli, G.dim)
-    if math.prod(G.moduli[i] // d for i, d, _ in pivots) != len(S):
+    hit = is_coset(S)
+    if hit is None:
         raise ValueError("fast path needs S (its dilation core if x* = 0) empty or a coset")
     if t == 0:
         return SolveResult("yes", nzero)
-    qm = quotient_group(G, SubgroupGens(G, tuple(col for _, _, col in pivots)))
+    base, sub = hit
+    qm = quotient_group(G, sub)
     qmod = qm.group.moduli
     if not qmod:
         return SolveResult("yes", nzero)  # G' = G, so S^t is all of G^t

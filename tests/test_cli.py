@@ -41,7 +41,13 @@ class TestGoldenInvocations:
 
     def test_02_classify_easy(self, capsys):
         assert main(["classify", "--group", "4", "--subset", "{0,2}"]) == 0
-        assert capsys.readouterr().out.startswith("in-P")
+        assert capsys.readouterr().out == "in-P (S is a coset: base 0, subgroup <2>)\n"
+
+    def test_02_classify_trivial_coset_names_the_zero(self, capsys):
+        assert main(["classify", "--group", "2,2", "--subset", "{(1,1)}"]) == 0
+        assert capsys.readouterr().out == (
+            "in-P (S is a coset: base (1,1), subgroup <(0,0)>)\n"
+        )
 
     def test_03_theta(self, capsys):
         assert main(["theta", "--group", "6", "--subset", "{1,2,4}"]) == 0
@@ -199,6 +205,20 @@ class TestMoreSurface:
             "# seed: 11\n# kind: instance\ngroup: 6\nt: 2\n"
             "xstar: (3) (3)\ngen: (4) (4)\ngen: (1) (1)\ngen: (4) (3)\n"
         )
+
+    @pytest.mark.parametrize("t, gens", [(0, 2), (2, 0), (0, 0)])
+    def test_gen_instance_keeps_zero_counts(self, capsys, t, gens):
+        assert main(["gen", "--kind", "instance", "--seed", "5", "--group", "2,3",
+                     "--t", str(t), "--gens", str(gens)]) == 0
+        inst = formats.parse_instance(capsys.readouterr().out)
+        assert inst.t == t and len(inst.hgens) == gens
+
+    @pytest.mark.parametrize("flag", ["--t", "--gens"])
+    def test_gen_instance_rejects_negative_counts(self, capsys, flag):
+        assert main(["gen", "--kind", "instance", "--seed", "5", "--group", "2,3",
+                     flag, "-2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "nonnegative" in err
 
     @pytest.mark.parametrize("group", [",".join(["2"] * 20), "1048576"])
     def test_gen_instance_does_not_list_the_group(self, capsys, monkeypatch, group):

@@ -17,7 +17,7 @@ from cosetint.groups import (
     scaling_hom,
     smith_normal_form,
     solve_linear_congruence,
-    span_order,
+    span_basis,
     standard_gens,
     subgroup_abstract,
     subgroup_enumerate,
@@ -406,13 +406,17 @@ class TestSubgroups:
         assert subgroup_enumerate(H) == [(0, 0), (0, 2), (1, 1), (1, 3)]
         assert subgroup_enumerate(H, cap=3) is None
 
-    def test_span_order_matches_closure(self):
+    def test_span_basis_matches_closure(self):
         rng = random.Random(41)
         groups = small_groups(12) + [FiniteAbelianGroup(m) for m in ((6, 10), (2, 6, 6), (4, 8))]
         for G in groups:
             for _ in range(8):
                 gens = [random_element(rng, G) for _ in range(rng.randrange(5))]
-                assert span_order(G, gens) == len(span_bruteforce(G, gens)), (G, gens)
+                order, cols = span_basis(G, gens)
+                span = span_bruteforce(G, gens)
+                assert order == len(span), (G, gens)
+                assert span_bruteforce(G, cols) == span, (G, gens)
+                assert len(cols) <= G.dim, (G, gens)
 
     def test_reduce_gens(self):
         G = FiniteAbelianGroup((4, 4))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,6 +10,7 @@ from cosetint.groups import (
     SubgroupGens,
     scaling_hom,
 )
+from cosetint.formats import format_pipeline
 from cosetint.model import SubsetS, oracle_solve, verify_certificate
 from cosetint.transforms import Graph, complete_graph, cycle_graph, path_graph
 from cosetint.hardness import (
@@ -32,7 +34,7 @@ from cosetint.hardness import (
     verify_trace,
 )
 
-from helpers import is_three_colorable, np_complete_targets, small_groups
+from helpers import REPLAY_TARGETS, is_three_colorable, np_complete_targets, small_groups
 
 Z3 = FiniteAbelianGroup((3,))
 Z4 = FiniteAbelianGroup((4,))
@@ -210,6 +212,26 @@ class TestTraceAndDeterminism:
     def test_recompilation_is_identical(self):
         for variant, G, elems in TARGETS:
             assert compiled(variant, G, elems) == compiled(variant, G, elems)
+
+    # SHA-256 of each replay target's pipeline text, which the replay
+    # benchmark compiles and replays: a change to any of them changes that
+    # workload's instances, certificates and node counts
+    REPLAY_PIPELINE_SHA256 = (
+        "f68b84420a8408efa29d6d676c1118f682360989b4fa280913d06a980ee683b7",
+        "81d9e112a0ff800365d38b6edd60c710014a0fe8d8cafe1e71618a359c47f26a",
+        "f853c912222feddba090f49eb9941303e356bcfb17155a05918a1a6ce9541696",
+        "c6ff86b4f80a3a93749b1081b666f6bbef71ffe3ac7dc7f64f31de5418797c4f",
+        "4bde7f222e5380fab0f6826d4f34fe1134ff510318e923109bde1d74f006d6f0",
+        "e8c6589df6b2fec999224b3973b3b6cc6aac6e01181b8a1ce497d4600887250d",
+    )
+
+    @pytest.mark.parametrize("k", range(len(REPLAY_TARGETS)))
+    def test_replay_pipeline_texts_are_pinned(self, k):
+        variant, moduli, elems = REPLAY_TARGETS[k]
+        G = FiniteAbelianGroup(moduli)
+        text = format_pipeline(compiled(variant, G, elems))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.REPLAY_PIPELINE_SHA256[k], (variant, moduli, elems)
 
     def test_tampered_trace_detected(self):
         pipe = compiled("P", Z4, [(0,), (1,), (2,)])
