@@ -175,8 +175,10 @@ def _cmd_reduce(ns: argparse.Namespace) -> int:
 def _cmd_gen(ns: argparse.Namespace) -> int:
     if ns.kind != "graph" and ns.group is None:
         raise ContractError("gen needs --group for this kind")
-    if ns.kind == "graph" and not ns.n:
+    if ns.kind == "graph" and ns.n is None:
         raise ContractError("gen --kind graph needs --n")
+    if not 0 <= ns.p <= 1:  # also false for nan
+        raise ContractError("gen --p must lie in [0, 1]")
     if any(n is not None and n < 0 for n in (ns.t, ns.gens)):
         raise ContractError("gen --t and --gens must be nonnegative")
     rng = random.Random(ns.seed)

@@ -5,8 +5,8 @@ coordinate i reduced mod d_i.  Three deterministic routines do the linear
 algebra:
 
 - `solve_linear_congruence` (membership, preimages, one preimage to lift):
-  row elimination mod each prime power of the lcm of the moduli, every row
-  scaled to that prime power, combined by CRT;
+  row elimination to Howell form over Z_M, M the lcm of the moduli, every
+  row scaled to modulus M;
 - `_echelon` (kernels, a quotient's smallest lifts, and `span_basis`: a span's
   order and at most dim(G) pivots, which present every span and coset): a
   column echelon basis over mixed moduli with extended-gcd pivots;
@@ -271,8 +271,9 @@ def span_basis(G: FiniteAbelianGroup, gens) -> Tuple[int, Tuple[GroupElement, ..
     return math.prod(G.moduli[i] // d for i, d, _ in pivots), tuple(c for *_, c in pivots)
 
 
-# Trial division up to this bound factors every modulus up to its square,
-# which covers the parse bound MAX_ORDER = 2**20 with at most 1024 divisions.
+# `_prime_power_pieces`' default bound, used on element orders: trial division
+# up to it factors every number up to its square, which covers the parse bound
+# MAX_ORDER = 2**20 with at most 1024 divisions.
 _TRIAL_DIVISION_LIMIT = 2**10
 
 
@@ -281,8 +282,9 @@ def _prime_power_pieces(M: int, limit: int = _TRIAL_DIVISION_LIMIT) -> List[Tupl
 
     Every prime up to `limit` is found by trial division; a cofactor left
     over (no prime factor at or below the limit) is returned as one piece
-    (cofactor, 1), to be split only if elimination finds a zero divisor in
-    it.  With limit >= sqrt(M) every piece is a prime power.
+    (cofactor, 1).  With limit >= sqrt(M) every piece is a prime power:
+    `idempotents` passes M itself, and `model._period` factors element
+    orders, at most MAX_ORDER, with the default.
     """
     pieces = []
     p = 2
@@ -310,117 +312,6 @@ def idempotents(N: int) -> List[int]:
     return found
 
 
-def _coprime_base(nums: Sequence[int]) -> List[int]:
-    """Pairwise coprime integers > 1 such that each of nums is a product of
-    their powers."""
-    base: List[int] = []
-    todo = [x for x in nums if x > 1]
-    while todo:
-        x = todo.pop()
-        for i, y in enumerate(base):
-            g = math.gcd(x, y)
-            if g > 1:
-                del base[i]
-                todo += [v for v in (g, x // g, y // g) if v > 1]
-                break
-        else:
-            base.append(x)
-    return base
-
-
-def _split_piece(d: int, e: int, g: int) -> List[Tuple[int, int]]:
-    """Refine the piece d**e given a proper divisor g of d.
-
-    Returns coprime pieces whose bases are all smaller than d: either d
-    splits into coprime parts, or d is a power of a smaller base.
-    """
-    pieces = []
-    for c in _coprime_base([g, d // g]):
-        k, r = 0, d
-        while r % c == 0:
-            r //= c
-            k += 1
-        pieces.append((c, k * e))
-    return pieces
-
-
-class _ZeroDivisor(Exception):
-    """A pivot's unit part shares the factor `g` with the piece's base."""
-
-    def __init__(self, g: int):
-        super().__init__(g)
-        self.g = g
-
-
-def _solve_prime_power(mat, rhs, moduli, d: int, e: int) -> Optional[List[int]]:
-    """One solution of the system mod q = d**e, or None.
-
-    Row i mod moduli[i] is the same congruence mod q once it and its
-    right-hand side are multiplied by q / gcd(moduli[i], q), so every row is
-    scaled (to zero if its modulus is coprime to q), smallest scale first.
-    Row elimination in which every pivot is d**w times a unit, where w is
-    the least d-valuation left in the remaining block, so the pivot divides
-    its whole row and column.  Rows are swapped and combined in place; the
-    pivot column is only recorded, so no column is ever moved and no
-    transform matrix is built.  Back-substitution sets free variables to 0.
-    For a prime d every pivot is of that form; for a composite d a pivot
-    whose unit part is not invertible raises _ZeroDivisor with a factor of d.
-    """
-    q = d**e
-    m = len(rhs)
-    n = len(mat[0]) if m else 0
-    scale = [q // math.gcd(mi, q) for mi in moduli]
-    order = sorted(range(m), key=scale.__getitem__)
-    rows = [[v * scale[i] % q for v in mat[i]] for i in order]
-    b = [rhs[i] * scale[i] % q for i in order]
-    pivots = []  # (column, d**w, inverse of the unit part mod q)
-    w, dw = 0, 1  # the least valuation never decreases from one step to the next
-    r = 0
-    while r < m:
-        hit = None
-        while w < e:
-            dw1 = dw * d
-            hit = next(
-                ((i, j) for i in range(r, m) for j, x in enumerate(rows[i]) if x % dw1),
-                None,
-            )
-            if hit is not None:
-                break
-            w, dw = w + 1, dw1
-        if hit is None:
-            break
-        i, j = hit
-        rows[r], rows[i] = rows[i], rows[r]
-        b[r], b[i] = b[i], b[r]
-        prow, pb = rows[r], b[r]
-        if pb % dw:
-            return None  # every coefficient of this row is a multiple of d**w
-        u = prow[j] // dw
-        g = math.gcd(u, d)
-        if g > 1:
-            raise _ZeroDivisor(g)
-        uinv = pow(u, -1, q)
-        nz = [(jj, c) for jj, c in enumerate(prow) if c]
-        for k in range(r + 1, m):
-            row = rows[k]
-            x = row[j]
-            if x:
-                f = x // dw * uinv % q
-                for jj, c in nz:
-                    row[jj] = (row[jj] - f * c) % q
-                b[k] = (b[k] - f * pb) % q
-        pivots.append((j, dw, uinv))
-        r += 1
-    if any(b[r:]):
-        return None  # a zero row with a nonzero right-hand side
-    z = [0] * n
-    for r in reversed(range(len(pivots))):
-        j, dw, uinv = pivots[r]
-        s = (b[r] - sum(a * c for a, c in zip(rows[r], z))) % q
-        z[j] = s // dw * uinv % (q // dw)
-    return z
-
-
 def solve_linear_congruence(
     mat: Sequence[Sequence[int]],
     rhs: Sequence[int],
@@ -432,13 +323,17 @@ def solve_linear_congruence(
     or None when the system is infeasible.  An empty matrix means no
     constraints and yields the empty solution.
 
-    The system is solved separately mod each prime power p**k of M, every
-    row and its right-hand side scaled to modulus p**k, by row elimination
-    that pivots on least p-valuation (see `_solve_prime_power`); the parts
-    are combined by the Chinese remainder theorem.  Any modulus works:
-    primes up to _TRIAL_DIVISION_LIMIT come from trial division, and a
-    larger cofactor is split by gcd only when elimination meets a zero
-    divisor.
+    Row elimination to Howell form over Z_M, with no factoring of M.  Row i
+    and its right-hand side are multiplied by M / moduli[i], which states
+    the same congruence mod M, and the right-hand side rides along as the
+    last column.  Column j's pivot is the row whose entry has the least gcd
+    g with M.  A row whose entry g divides is cleared by one sparse update;
+    any other row is combined with the pivot by extended gcd, and the
+    combination, of smaller gcd, becomes the pivot.  Appending (M/g) times
+    the pivot to the rows left keeps every combination that vanishes on
+    column j (the Howell property).  So the system is infeasible exactly
+    when a row is left with no coefficients and a nonzero right-hand side,
+    and back-substitution, free variables at 0, always divides by g.
     """
     m = len(moduli)
     if len(mat) != m or len(rhs) != m:
@@ -447,21 +342,54 @@ def solve_linear_congruence(
         raise ValueError("moduli must be positive")
     n = len(mat[0]) if mat else 0
     M = math.lcm(*moduli)
-    x = [0] * n
-    pieces = _prime_power_pieces(M)
-    while pieces:
-        d, e = pieces.pop()
-        try:
-            part = _solve_prime_power(mat, rhs, moduli, d, e)
-        except _ZeroDivisor as exc:
-            pieces += _split_piece(d, e, exc.g)
+    rows = [
+        [v * (M // d) % M for v in row] + [b * (M // d) % M]
+        for row, b, d in zip(mat, rhs, moduli)
+    ]
+    pivots = []  # (column, g, inverse of entry / g mod M / g, nonzeros after it)
+    for j in range(n):
+        best, k = M, None
+        for i, row in enumerate(rows):
+            if row[j]:
+                g = math.gcd(row[j], M)
+                if g < best:
+                    best, k = g, i
+                    if g == 1:
+                        break
+        if k is None:
             continue
-        if part is None:
-            return None
-        q = d**e
-        c = M // q * pow(M // q, -1, q)  # 1 mod q, 0 mod M/q
-        x = [(xi + c * v) % M for xi, v in zip(x, part)]
-    return x
+        piv = rows.pop(k)
+        g = best
+        inv = pow(piv[j] // g, -1, M // g)
+        nz = [(jj, piv[jj]) for jj in range(j + 1, n + 1) if piv[jj]]
+        for i, row in enumerate(rows):
+            x = row[j]
+            if not x:
+                continue
+            if x % g == 0:
+                f = x // g * inv % M
+                row[j] = 0
+                for jj, c in nz:
+                    row[jj] = (row[jj] - f * c) % M
+            else:
+                h, s, t = _xgcd(piv[j], x)
+                a, b = piv[j] // h, x // h
+                rows[i] = [(b * u - a * v) % M for u, v in zip(piv, row)]
+                piv = [(s * u + t * v) % M for u, v in zip(piv, row)]
+                g = math.gcd(h, M)
+                inv = pow(h // g, -1, M // g)
+                nz = [(jj, piv[jj]) for jj in range(j + 1, n + 1) if piv[jj]]
+        saturated = [(v * (M // g)) % M for v in piv]
+        if any(saturated):
+            rows.append(saturated)
+        pivots.append((j, g, inv, nz))
+    if any(row[n] for row in rows):
+        return None  # no coefficients left and a nonzero right-hand side
+    z = [0] * n + [-1]  # -1 on the right-hand side column: the dot gives A z - b
+    for j, g, inv, nz in reversed(pivots):
+        v = -sum(c * z[jj] for jj, c in nz) % M
+        z[j] = v // g * inv % (M // g)
+    return z[:n]
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,19 @@ class TestMoreSurface:
                      "--out", str(s)]) == 0
         formats.parse_subset(FiniteAbelianGroup((6,)), s.read_text())
 
+    def test_gen_graph_with_no_vertices(self, capsys):
+        assert main(["gen", "--kind", "graph", "--seed", "1", "--n", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out == "c seed: 1\nc kind: graph\np edge 0 0\n"
+        assert formats.parse_graph(out).n == 0
+
+    @pytest.mark.parametrize("p", ["1.5", "-1", "nan"])
+    def test_gen_graph_rejects_p_outside_unit_interval(self, capsys, p):
+        assert main(["gen", "--kind", "graph", "--seed", "1", "--n", "3",
+                     "--p", p]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: gen --p must lie in [0, 1]\n"
+
     def test_gen_instance_output_is_pinned(self, capsys):
         # text written by the earlier generator, which drew with rng.choice
         # over the listed elements of G

@@ -10,7 +10,6 @@ from cosetint.groups import (
     FiniteAbelianGroup,
     Homomorphism,
     SubgroupGens,
-    _split_piece,
     hom_preimage,
     kernel_of_hom,
     quotient_group,
@@ -128,6 +127,17 @@ class TestSolveLinearCongruence:
     def test_infeasible(self):
         assert solve_linear_congruence([[1], [1]], [0, 1], [2, 4]) is None
 
+    def test_saturation_row(self):
+        # 2x + y == 1 (mod 4): after column x only 2 * (2, 1 | 1) = (0, 2 | 2)
+        # says y is odd; without that row y = 0 leaves 2x == 1
+        x, y = solve_linear_congruence([[2, 1]], [1], [4])
+        assert (2 * x + y) % 4 == 1
+
+    def test_extended_gcd_pivot(self):
+        # 2x == 2, 3x == 3 (mod 6): neither entry divides the other, so the
+        # pivot becomes the combination 3x - 2x == 1
+        assert solve_linear_congruence([[2], [3]], [2, 3], [6, 6]) == [1]
+
     def test_no_constraints(self):
         assert solve_linear_congruence([], [], []) == []
 
@@ -173,7 +183,11 @@ class TestSolveLinearCongruence:
         )
 
     @pytest.mark.parametrize(
-        "choices", [(8,), (9,), (25,), (1, 5), (4, 6, 9), (8, 12), (2, 3, 5, 7)]
+        "choices",
+        [
+            (8,), (9,), (25,), (1, 5), (4, 6, 9), (8, 12), (2, 3, 5, 7),
+            (6,), (10, 15), (12, 30),
+        ],
     )
     def test_moduli_sets_against_span_closure(self, choices):
         # row moduli are drawn from `choices`; b is feasible exactly when it
@@ -229,8 +243,7 @@ class TestSolveLinearCongruence:
             (24, 48, (12, 60)),
             (32, 48, (4096,)),
             (12, 16, ((2**31 - 1) * (2**61 - 1),)),
-            # rows mod 9 are coprime to the piece 8 and rows mod 8 to the
-            # piece 9, so each scales to a zero row there
+            # rows mod 9 and mod 8 are scaled by 8 and by 9 to modulus 72
             (18, 12, (9, 8, 72)),
         ],
     )
@@ -248,14 +261,15 @@ class TestSolveLinearCongruence:
     @pytest.mark.parametrize(
         "modulus",
         [
-            (2**31 - 1) * (2**61 - 1),  # splits into two primes
-            1031**2,  # a prime square above the trial-division limit
-            1031**3 * 1033**2 * 1039,  # both kinds of split
+            (2**31 - 1) * (2**61 - 1),
+            1031**2,
+            1031**3 * 1033**2 * 1039,
         ],
     )
-    def test_zero_divisors_above_trial_division(self, modulus):
-        # entries built from the large prime factors make some pivots zero
-        # divisors, which is when the cofactor gets split
+    def test_zero_divisor_entries_of_huge_moduli(self, modulus):
+        # entries built from the large prime factors share them with the
+        # modulus, so pivots are zero divisors and rows meet pivots they are
+        # not multiples of; nothing is factored
         rng = random.Random(modulus % 1000)
         factors = [f for f in (1031, 1033, 1039, 2**31 - 1, 2**61 - 1) if modulus % f == 0]
         parts = [1] + factors + [f * f for f in factors]
@@ -274,7 +288,6 @@ class TestSolveLinearCongruence:
                     else:
                         assert got is None
 
-
     @pytest.mark.parametrize(
         "moduli",
         [
@@ -282,15 +295,9 @@ class TestSolveLinearCongruence:
             (1031**2, 1031**3 * 1033, 8, 8 * 1031**3 * 1033),
         ],
     )
-    def test_scaled_rows_split_the_cofactor(self, moduli, monkeypatch):
-        # the cofactor above trial division is one piece q; a row mod a proper
-        # factor of it is scaled by the rest of q, so its pivots are zero
-        # divisors, and the piece must be split for the answer to be right
-        splits = []
-        monkeypatch.setattr(
-            "cosetint.groups._split_piece",
-            lambda *args: splits.append(args) or _split_piece(*args),
-        )
+    def test_rows_mod_proper_factors_of_huge_moduli(self, moduli):
+        # a row mod a proper factor of M is scaled by the rest of M, so its
+        # entries are zero divisors mod M
         rng = random.Random(moduli[0])
         for m, n in ((4, 4), (8, 8), (12, 10)):
             rows = [moduli[i % len(moduli)] for i in range(m)]
@@ -302,7 +309,6 @@ class TestSolveLinearCongruence:
                         assert got is not None and self.satisfies(A, b, rows, got)
                     else:
                         assert got is None
-        assert splits
 
 
 class TestGroupBasics:
