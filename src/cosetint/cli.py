@@ -20,8 +20,8 @@ from .model import (
     oracle_solve,
     verify_certificate,
 )
-from .classify import IN_P, classify_affine, classify_homogeneous, dilation_core
-from .polysolve import solve_affine_coset, solve_homogeneous_core
+from .classify import classify_affine, classify_homogeneous, dilation_core
+from .polysolve import decide
 from .transforms import Graph
 from .hardness import (
     CompileError,
@@ -97,17 +97,7 @@ def _print_result(res) -> int:
 def _cmd_solve(ns: argparse.Namespace) -> int:
     inst = _load_instance(ns.instance)
     S = _load_subset(inst.group, ns.subset)
-    if ns.pi:
-        if not inst.is_homogeneous():
-            raise ContractError("the homogeneous variant needs xstar = 0")
-        cls = classify_homogeneous(inst.group, S)
-        if cls.verdict == IN_P:
-            return _print_result(solve_homogeneous_core(inst, S))
-    else:
-        cls = classify_affine(inst.group, S)
-        if cls.verdict == IN_P:
-            return _print_result(solve_affine_coset(inst, S))
-    return _print_result(oracle_solve(inst, S, budget=ns.budget))
+    return _print_result(decide(inst, S, "Pi" if ns.pi else "P", budget=ns.budget))
 
 
 def _cmd_oracle(ns: argparse.Namespace) -> int:

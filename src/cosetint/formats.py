@@ -42,8 +42,9 @@ from .hardness import (
     Translate,
 )
 
-# groups larger than this are rejected at the parse boundary: the oracle, `gen
-# --kind subset` and `_two_gen_worklist` still scan G, so larger orders buy hangs
+# groups larger than this are rejected at the parse boundary: `gen --kind subset`,
+# `_two_gen_worklist`'s `direct` and `pre`, and the pull-backs through `emb` in
+# `_compile_steps` and `compile_hardness_Pi` still list G, so larger orders buy hangs
 MAX_ORDER = 1 << 20
 
 

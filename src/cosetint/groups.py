@@ -491,8 +491,8 @@ def kernel_of_hom(hom: Homomorphism) -> SubgroupGens:
     return SubgroupGens(G, tuple(dict.fromkeys(g for g in gens if any(g))))
 
 
-def subgroup_enumerate(sub: SubgroupGens, cap: Optional[int] = 100000):
-    """All elements of the generated subgroup, sorted; None if more than cap."""
+def subgroup_enumerate(sub: SubgroupGens):
+    """All elements of the generated subgroup, sorted."""
     G = sub.group
     seen = {G.zero()}
     frontier = [G.zero()]
@@ -503,8 +503,6 @@ def subgroup_enumerate(sub: SubgroupGens, cap: Optional[int] = 100000):
                 y = G.add(x, g)
                 if y not in seen:
                     seen.add(y)
-                    if cap is not None and len(seen) > cap:
-                        return None
                     nxt.append(y)
         frontier = nxt
     return sorted(seen)
@@ -534,16 +532,10 @@ class QuotientMap:
 
     def lift(self, q: Sequence[int]) -> GroupElement:
         G = self.proj.source
-        q = self.group.reduce(q)
-        if G.dim == 0 or self.group.dim == 0:
-            x = list(G.zero())
-        else:
-            x0 = solve_linear_congruence(
-                [list(r) for r in self.proj.matrix], list(q), list(self.group.moduli)
-            )
-            if x0 is None:  # proj is surjective, so this cannot happen
-                raise ValueError("element is not in the quotient's image")
-            x = list(G.reduce(x0))
+        x0 = hom_preimage(self.proj, q)
+        if x0 is None:  # proj is surjective, so this cannot happen
+            raise ValueError("element is not in the quotient's image")
+        x = list(x0)
         # the smallest first coordinate reachable within the coset is x[i] mod
         # d, then the same for the next coordinate over what is left of K
         for i, d, col in self.kernel_basis:

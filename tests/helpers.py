@@ -214,14 +214,13 @@ def unflatten(G, t, flat):
 
 def enum_oracle(inst, S):
     """Second, simpler oracle: enumerate H inside G^t and scan xstar + H."""
-    from cosetint.groups import subgroup_enumerate
+    from cosetint.groups import span_basis, subgroup_enumerate
 
     Gt = inst.group.power(inst.t)
-    H = subgroup_enumerate(
-        SubgroupGens(Gt, tuple(flatten(inst.group, g) for g in inst.hgens))
-    )
-    assert H is not None
-    for h in H:
+    gens = tuple(flatten(inst.group, g) for g in inst.hgens)
+    order, _ = span_basis(Gt, gens)
+    assert order <= 100000, "H too large to enumerate"
+    for h in subgroup_enumerate(SubgroupGens(Gt, gens)):
         point = unflatten(inst.group, inst.t, Gt.add(flatten(inst.group, inst.xstar), h))
         if all(p in S for p in point):
             return True

@@ -100,11 +100,16 @@ class TestDilationCore:
         assert dilation_core(SubsetS.of(Z6, [])).elements == frozenset()
 
     def test_contained_and_idempotent(self):
-        for G in small_groups(8):
+        # and S meets the span of its core only in the core, the fact that
+        # compile_hardness_Pi's set-eq check records
+        groups = small_groups(8) + [FiniteAbelianGroup((12,)), FiniteAbelianGroup((2, 6))]
+        for G in groups:
             for S in all_subsets(G):
                 core = dilation_core(S)
                 assert core.elements <= S.elements
                 assert dilation_core(core).elements == core.elements
+                span = subgroup_enumerate(SubgroupGens(G, core.sorted_elements()))
+                assert S.elements & set(span) == core.elements, (G, S)
 
     def test_matches_definition(self):
         groups = small_groups(8) + [FiniteAbelianGroup((12,)), FiniteAbelianGroup((2, 6))]

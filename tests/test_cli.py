@@ -125,11 +125,22 @@ class TestMoreSurface:
     def test_solve_pi_needs_homogeneous(self, capsys, tmp_path):
         inst = write(tmp_path / "i.txt", "group: 4\nt: 1\nxstar: (1)\ngen: (1)\n")
         assert main(["solve", "--instance", inst, "--subset", "{1,3}", "--pi"]) == 2
+        assert capsys.readouterr().err == "error: the homogeneous variant needs xstar = 0\n"
 
     def test_solve_pi_homogeneous(self, capsys, tmp_path):
         inst = write(tmp_path / "i.txt", "group: 4\nt: 1\nxstar: (0)\ngen: (1)\n")
         assert main(["solve", "--instance", inst, "--subset", "{1,3}", "--pi"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "yes"
+
+    def test_solve_np_complete_target_runs_the_oracle(self, capsys, tmp_path):
+        # {0,1} in Z4 is not a coset, so solve searches, within --budget
+        inst = write(tmp_path / "i.txt",
+                     "group: 4\nt: 2\nxstar: (1) (0)\ngen: (1) (1)\ngen: (0) (2)\n")
+        args = ["solve", "--instance", inst, "--subset", "{0,1}", "--budget"]
+        assert main(args + ["100"]) == 0
+        assert capsys.readouterr().out == "yes\ncert: 0,0\n"
+        assert main(args + ["1"]) == 3
+        assert capsys.readouterr().out == "budget exceeded\n"
 
     def test_subset_from_file(self, capsys, tmp_path):
         sub = write(tmp_path / "s.txt", "# two residues\n0\n1\n")

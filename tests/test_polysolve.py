@@ -8,12 +8,14 @@ import cosetint.polysolve
 from cosetint.groups import FiniteAbelianGroup
 from cosetint.classify import IN_P, classify_affine, classify_homogeneous
 from cosetint.model import ProblemInstance, SubsetS, oracle_solve, verify_certificate
-from cosetint.polysolve import solve_affine_coset, solve_homogeneous_core
+from cosetint.polysolve import decide, solve_affine_coset, solve_homogeneous_core
 
 from helpers import (
+    CLASSIFIERS,
     all_subgroups,
     random_coset_subset,
     random_element,
+    random_subset,
     reference_oracle_solve,
     small_groups,
     span_bruteforce,
@@ -113,10 +115,12 @@ def test_every_coset_agrees_with_reference_oracle(G):
 
 class TestHomogeneous:
     def test_zero_in_s(self):
+        # the core is {0}, a coset, and the system's answer is the zero combination
         S = SubsetS.of(Z4, [(0,), (3,)])
-        inst = ProblemInstance(Z4, 3, tuple((0,) for _ in range(3)), ())
-        res = solve_homogeneous_core(inst, S)
-        assert res.kind == "yes" and verify_certificate(inst, S, res.certificate)
+        for hgens in ((), (((1,), (2,), (3,)), ((2,), (0,), (1,)))):
+            inst = ProblemInstance(Z4, 3, tuple((0,) for _ in range(3)), hgens)
+            res = solve_homogeneous_core(inst, S)
+            assert res.kind == "yes" and res.certificate == (0,) * len(hgens)
 
     def test_coset_core_examples(self):
         S = SubsetS.of(Z4, [(1,), (3,)])
@@ -126,9 +130,12 @@ class TestHomogeneous:
         assert solve_homogeneous_core(no, S).kind == "no"
 
     def test_rejects_nonzero_xstar(self):
+        # decide checks before classifying, so an NP-complete S fails the same way
         inst = ProblemInstance(Z4, 1, ((1,),), ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the homogeneous variant needs xstar = 0"):
             solve_homogeneous_core(inst, SubsetS.of(Z4, [(0,)]))
+        with pytest.raises(ValueError, match="the homogeneous variant needs xstar = 0"):
+            decide(inst, SubsetS.of(Z4, [(1,), (2,)]), "Pi")
 
     def test_rejects_non_coset_core(self):
         inst = ProblemInstance(FiniteAbelianGroup((5,)), 1, ((0,),), ())
@@ -152,6 +159,46 @@ class TestHomogeneous:
             if fast.kind == "yes":
                 assert verify_certificate(inst, S, fast.certificate)
             checked += 1
+
+
+class TestDecide:
+    SOLVERS = {"P": solve_affine_coset, "Pi": solve_homogeneous_core}
+
+    @pytest.mark.parametrize("variant", ["P", "Pi"])
+    def test_one_path_agrees_with_each_solver(self, variant):
+        # the polynomial wrapper on in-P targets, the oracle at the same budget
+        # on NP-complete ones, and the reference oracle's kind on every target
+        rng = random.Random(1618)
+        seen = set()
+        for G in small_groups(6):
+            for _ in range(40):
+                pick = random_coset_subset if rng.random() < 0.5 else random_subset
+                S = pick(rng, G)
+                inst = random_instance(rng, G, max_t=3, max_gens=3,
+                                       homogeneous=variant == "Pi")
+                budget = rng.choice((3, 10 ** 8))
+                res = decide(inst, S, variant, budget=budget)
+                in_p = CLASSIFIERS[variant](G, S).verdict == IN_P
+                seen.add(in_p)
+                if in_p:
+                    other = self.SOLVERS[variant](inst, S)
+                else:
+                    other = oracle_solve(inst, S, budget=budget)
+                    assert res.nodes == other.nodes
+                assert res == other, (G, sorted(S.elements), inst)
+                ref, _ = reference_oracle_solve(inst, S)
+                assert decide(inst, S, variant).kind == ref.kind, (G, sorted(S.elements), inst)
+        assert seen == {True, False}
+
+    def test_unknown_variant(self):
+        inst = ProblemInstance(Z4, 1, ((0,),), ())
+        with pytest.raises(ValueError, match="unknown variant"):
+            decide(inst, SubsetS.of(Z4, [(1,)]), "Q")
+
+    def test_rejects_subset_over_another_group(self):
+        inst = ProblemInstance(Z4, 1, ((0,),), ())
+        with pytest.raises(ValueError, match="different groups"):
+            decide(inst, SubsetS.of(FiniteAbelianGroup((2,)), [(1,)]))
 
 
 def test_scales_to_desk_size():
