@@ -89,13 +89,6 @@ class FiniteAbelianGroup:
     def element_order(self, x) -> int:
         return math.lcm(*(d // math.gcd(d, a) for a, d in zip(x, self.moduli)))
 
-    def index_of(self, x) -> int:
-        """Mixed-radix rank of an element, first coordinate most significant."""
-        idx = 0
-        for a, d in zip(x, self.moduli):
-            idx = idx * d + a
-        return idx
-
     def element_at(self, idx: int) -> GroupElement:
         coords = []
         for d in reversed(self.moduli):

@@ -14,7 +14,9 @@ fails when no digit tuple of R puts the whole group into S.  With R = {k}
 the check leaves the digits of generator k that do, and the node for k
 tries only those.  So a finished coordinate is tested on its own only at
 the root, when no generator moves it, or below g_k when its group {k} has
-too many digits to check.
+too many digits to check.  A node saves and restores the coordinates of
+its generator only when it tries a digit >= 1, the only digits that move
+them.
 
 Each cell object of an instance is checked once, where it enters: input
 from outside the package per object at the public constructor, parsed input
@@ -353,7 +355,11 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
 
     The running point is a list of element tuples.  Adding generator
     entry g to a coordinate reads a successor memo x -> x + g, one dict
-    per distinct entry, filled as the search first takes each step.  A
+    per distinct entry, filled as the search first takes each step.  The
+    node for generator k tries digit 0 on the point as it found it, and
+    saves g_k's coordinates only when it goes on to a digit >= 1, which
+    moves them; it writes them back only then, so a node that takes digit
+    0 alone (the most common case) neither saves nor restores.  A
     group check ANDs per-coordinate bitmasks of the digit tuples that
     land in S (`_Hits`), one memo per distinct run of entries and digit
     bounds, also filled on demand, so nothing of size |G| is allocated.
@@ -460,23 +466,30 @@ def oracle_solve(inst: ProblemInstance, S: SubsetS, budget: int = DEFAULT_BUDGET
             masks[write] = mask
         if k == ngens:
             return tuple(stack)
-        move = moves[k]
-        saved = [point[i] for i, _ in move]
         digits = masks[allowed[k]]
-        for digit in range(orders[k]):
-            if not digits >> digit:
-                break
-            if digit:
+        if digits & 1:
+            stack.append(0)
+            found = dfs(k + 1, stack)
+            if found is not None:
+                return found
+            stack.pop()
+        # slot 1 holds -1, so digits >> 1 is nonzero even when r_k = 1
+        if orders[k] > 1 and digits >> 1:
+            move = moves[k]
+            saved = [point[i] for i, _ in move]
+            for digit in range(1, orders[k]):
+                if not digits >> digit:
+                    break
                 for i, succ in move:
                     point[i] = succ[point[i]]
-            if digits >> digit & 1:
-                stack.append(digit)
-                found = dfs(k + 1, stack)
-                if found is not None:
-                    return found
-                stack.pop()
-        for (i, _), x in zip(move, saved):
-            point[i] = x
+                if digits >> digit & 1:
+                    stack.append(digit)
+                    found = dfs(k + 1, stack)
+                    if found is not None:
+                        return found
+                    stack.pop()
+            for (i, _), x in zip(move, saved):
+                point[i] = x
         return None
 
     try:

@@ -263,10 +263,6 @@ def gadget_s01(graph: Graph, G: FiniteAbelianGroup) -> Tuple[ProblemInstance, Ga
                                     (zero, one, minus_one)), layout
 
 
-def gadget_s01_subset(G: FiniteAbelianGroup) -> SubsetS:
-    return SubsetS.of(G, [(0,), (1,)])
-
-
 def cert_s01(layout: GadgetLayout, coloring: Sequence[int]) -> Certificate:
     """Certificate from a proper 3-coloring (1 iff vertex has that color)."""
     if len(coloring) != len(layout.vertices):
@@ -313,10 +309,6 @@ def gadget_coloring_full(graph: Graph, G: FiniteAbelianGroup) -> ProblemInstance
             ))
     xstar = (zero,) * t
     return ProblemInstance._derived(G, t, xstar, tuple(hgens), shared.values())
-
-
-def gadget_coloring_full_subset(G: FiniteAbelianGroup) -> SubsetS:
-    return SubsetS.of(G, [e for e in G.elements() if e != G.zero()])
 
 
 def cert_coloring_full(graph: Graph, G: FiniteAbelianGroup,

@@ -212,6 +212,15 @@ def unflatten(G, t, flat):
     return tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(t))
 
 
+def index_of(G, x):
+    """Mixed-radix rank of an element, first coordinate most significant:
+    its position in G.elements()."""
+    idx = 0
+    for a, d in zip(x, G.moduli):
+        idx = idx * d + a
+    return idx
+
+
 def enum_oracle(inst, S):
     """Second, simpler oracle: enumerate H inside G^t and scan xstar + H."""
     from cosetint.groups import span_basis, subgroup_enumerate
@@ -266,7 +275,7 @@ def reference_oracle_solve(inst, S, budget=10 ** 8):
 
     in_s = bytearray(G.order)
     for e in S.elements:
-        in_s[G.index_of(e)] = 1
+        in_s[index_of(G, e)] = 1
 
     # last_touch[i]: index of the last generator with a nonzero entry at i
     last_touch = [-1] * t
@@ -279,13 +288,12 @@ def reference_oracle_solve(inst, S, budget=10 ** 8):
         final_at[last_touch[i] + 1].append(i)
 
     point = [list(e) for e in inst.xstar]
-    index_of = G.index_of
     add_into = G.moduli
     dim = G.dim
     nodes = 0
 
     def coords_ok(which) -> bool:
-        return all(in_s[index_of(tuple(point[i]))] for i in which)
+        return all(in_s[index_of(G, tuple(point[i]))] for i in which)
 
     def dfs(k: int, stack) -> Optional[Tuple[int, ...]]:
         nonlocal nodes
@@ -562,6 +570,16 @@ def reference_gadget_coloring_full(graph, G):
             hgens.append(tuple(gen))
     xstar = tuple(G.zero() for _ in range(t))
     return ProblemInstance(G, t, xstar, tuple(hgens))
+
+
+def gadget_s01_subset(G):
+    """The subset {0, 1} of Z_m that `transforms.gadget_s01` targets."""
+    return SubsetS.of(G, [(0,), (1,)])
+
+
+def gadget_coloring_full_subset(G):
+    """G minus zero, the subset that `transforms.gadget_coloring_full` targets."""
+    return SubsetS.of(G, [e for e in G.elements() if e != G.zero()])
 
 
 def reference_format_instance(inst, header=()):

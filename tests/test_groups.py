@@ -25,6 +25,7 @@ from cosetint.groups import (
 )
 from helpers import (
     all_subgroups,
+    index_of,
     int_det,
     mat_mul,
     random_element,
@@ -344,7 +345,7 @@ class TestGroupBasics:
     def test_indexing_roundtrip(self):
         G = FiniteAbelianGroup((3, 4))
         for i, e in enumerate(G.elements()):
-            assert G.index_of(e) == i
+            assert index_of(G, e) == i
             assert G.element_at(i) == e
 
     def test_power(self):

@@ -478,13 +478,16 @@ class TestOracleMatchesReference:
         rng = random.Random(18)
         all_edges = [(u, v) for u in range(1, 11) for v in range(u + 1, 11)]
         graphs = [Graph.of(10, rng.sample(all_edges, 18)) for _ in range(3)]
+        total = 0
         for target in REPLAY_TARGETS:
             pipe = replay_pipeline(target)
             for graph in graphs:
                 inst, _ = apply_pipeline(pipe, graph)
-                same_search(inst, pipe.subset, budget=5 * 10 ** 4)
+                total += same_search(inst, pipe.subset, budget=5 * 10 ** 4)[2]
                 want = "yes" if is_three_colorable(graph) else "no"
                 assert oracle_solve(inst, pipe.subset, budget=5 * 10 ** 4).kind == want
+        # node counts are deterministic: a change that keeps the search keeps this
+        assert total == 20420
 
 
 class TestGroupCheck:
@@ -586,6 +589,38 @@ class TestDigitFilter:
             assert (res.kind, res.certificate) == (ref.kind, ref.certificate), (inst, S)
             kinds.add(res.kind)
         assert kinds == {"yes", "no"}
+
+    def test_digit_bound_one_without_own_group(self):
+        # in Z_10 with S = {0, 1, 5, 6} = {0, 1} + <5>, the entry 5 lies in
+        # the stabilizer, so g_1 = (5, 5, 5) has digit bound 1; later
+        # generators move all its coordinates, so it has no group {1} and its
+        # digit filter is all ones.  Its node takes only digit 0, and under
+        # c_0 = 0 that subtree fails, so the node returns with nothing moved
+        G = FiniteAbelianGroup((10,))
+        inst = ProblemInstance(G, 3, ((3,), (0,), (0,)), (
+            ((1,), (0,), (0,)), ((5,), (5,), (5,)), ((1,), (1,), (0,)), ((0,), (1,), (1,))))
+        S = SubsetS.of(G, [(0,), (1,), (5,), (6,)])
+        res, ref = oracle_solve(inst, S), reference_order_oracle_solve(inst, S)
+        assert (res.kind, res.certificate) == (ref.kind, ref.certificate) == ("yes", (1, 0, 1, 0))
+        # root, g_1 and g_2 under c_0 = 0, g_3 under c_2 = 2 and 3; then
+        # g_1, g_2, g_3 and the leaf under c_0 = 1
+        assert res.nodes == 9 < ref.nodes
+
+    def test_failed_moves_are_undone_for_the_next_sibling(self):
+        # in Z_5 with S = {0, 1}: under c_0 = 0, coordinate 0 (at 3) lets
+        # g_1 take only digits 2 and 3, and with either one coordinate 1 has
+        # no digit of g_2 in common with coordinate 2.  That node has moved
+        # coordinates 0 and 1 three times when it fails, and its sibling under
+        # c_0 = 1 must start from where they were
+        G = FiniteAbelianGroup((5,))
+        inst = ProblemInstance(G, 3, ((3,), (0,), (0,)), (
+            ((1,), (0,), (0,)), ((1,), (1,), (0,)), ((0,), (1,), (1,))))
+        S = SubsetS.of(G, [(0,), (1,)])
+        res, ref = oracle_solve(inst, S), reference_order_oracle_solve(inst, S)
+        assert (res.kind, res.certificate) == (ref.kind, ref.certificate) == ("yes", (1, 1, 0))
+        # root, g_1 under c_0 = 0, g_2 under c_1 = 2 and 3; then g_1, g_2
+        # and the leaf under c_0 = 1
+        assert res.nodes == 7 < ref.nodes
 
 
 class TestPresolve:

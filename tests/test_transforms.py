@@ -23,9 +23,7 @@ from cosetint.transforms import (
     cycle_graph,
     divideout_lift,
     gadget_coloring_full,
-    gadget_coloring_full_subset,
     gadget_s01,
-    gadget_s01_subset,
     kcol_from_3col,
     map_instance,
     pad_coloring,
@@ -39,6 +37,8 @@ from cosetint.classify import dilation_core
 
 from helpers import (
     REPLAY_TARGETS,
+    gadget_coloring_full_subset,
+    gadget_s01_subset,
     is_three_colorable,
     proper_colorings,
     random_element,
