@@ -53,10 +53,13 @@ def _fmt(e) -> str:
 
 def is_coset(S: SubsetS):
     """(min(S), the at most G.dim echelon pivots of the sorted S - min(S)) if
-    S - min(S), which holds 0, is its own span, else None."""
+    S - min(S), which holds 0, is its own span, else None.  A coset's size
+    divides |G|, so a size that does not is rejected before the echelon."""
     if not S.elements:
         return None
     G = S.group
+    if G.order % len(S):
+        return None
     base = min(S.elements)
     order, gens = span_basis(G, sorted(G.sub(e, base) for e in S.elements))
     if order != len(S):

@@ -42,9 +42,9 @@ from .hardness import (
     Translate,
 )
 
-# groups larger than this are rejected at the parse boundary: `gen --kind subset`,
-# `_two_gen_worklist`'s `direct` and `pre`, and the pull-backs through `emb` in
-# `_compile_steps` and `compile_hardness_Pi` still list G, so larger orders buy hangs
+# groups larger than this are rejected at the parse boundary: `gen --kind subset`
+# still lists G, so larger orders buy hangs there.  Compiling lists no group; the
+# cost left at this bound is the default K4 self-check, which can exceed its budget
 MAX_ORDER = 1 << 20
 
 

@@ -27,6 +27,7 @@ from .groups import (
     kernel_of_hom,
     quotient_group,
     scaling_hom,
+    span_basis,
     subgroup_abstract,
     subgroup_enumerate,
 )
@@ -158,9 +159,14 @@ def _rec(kind: str, **kv) -> TraceRecord:
 
 
 def _check_coset_inside(G, T: SubsetS, base, step_el, trace, what):
-    for h in subgroup_enumerate(SubgroupGens(G, (step_el,))):
-        if G.add(base, h) not in T:
+    # walk base + <step> until it closes: at most |T| + 1 membership tests
+    x = base
+    while True:
+        if x not in T:
             raise CompileError(f"internal: {what}: {base} + <{step_el}> escapes the set")
+        x = G.add(x, step_el)
+        if x == base:
+            break
     trace.append(_rec("subset", base=base, step=step_el, note=what))
 
 
@@ -247,7 +253,6 @@ def _two_gen_worklist(G, S: SubsetS, a, b, trace):
     zero = G.zero()
     if not in_shift_set(zero):
         raise CompileError("internal: worklist entered without its witness triple")
-    direct = frozenset(g for g in G.elements() if in_shift_set(g))
     visited = {zero}
     queue = deque([zero])
     while queue:
@@ -266,8 +271,8 @@ def _two_gen_worklist(G, S: SubsetS, a, b, trace):
             _, K = out
             qm = quotient_group(G, K)
             Sigma = SubsetS(qm.group, frozenset(qm.proj.apply(x) for x in S.elements))
-            pre = frozenset(x for x in G.elements() if qm.proj.apply(x) in Sigma)
-            if pre != S.elements:
+            # S lies inside proj^-1(Sigma) = S + K, which has |Sigma| * |K| elements
+            if len(Sigma) * (G.order // qm.group.order) != len(S):
                 raise CompileError("internal: quotient image does not pull back to the set")
             _check_non_coset(qm.group, Sigma, trace, "quotient-image")
             trace.append(_rec("divide", kernel=K.gens[0], quotient=qm.group.moduli))
@@ -278,7 +283,9 @@ def _two_gen_worklist(G, S: SubsetS, a, b, trace):
                     raise CompileError("internal: advance target fails the shift predicate")
                 visited.add(h)
                 queue.append(h)
-    # exhausted: the even pattern
+    # exhausted: the even pattern.  in_shift_set needs g in S, so a scan of
+    # S finds the whole shift set
+    direct = frozenset(g for g in S.elements if in_shift_set(g))
     K = SubgroupGens(G, (G.scale(2, a), G.scale(2, b)))
     doubled = frozenset(subgroup_enumerate(K))
     if frozenset(visited) != doubled or direct != doubled:
@@ -327,6 +334,13 @@ def _two_element_front(G, S: SubsetS, trace) -> List[Step]:
     return front
 
 
+def _pullback(emb: Homomorphism, elements) -> frozenset:
+    """The preimages under the injective emb of those elements in its
+    image: one solve per element, with no scan of emb's source."""
+    pre = (hom_preimage(emb, y) for y in elements)
+    return frozenset(x for x in pre if x is not None)
+
+
 def _compile_steps(G, S: SubsetS, trace) -> List[Step]:
     tail: List[Step] = []
     measure = None
@@ -348,12 +362,12 @@ def _compile_steps(G, S: SubsetS, trace) -> List[Step]:
         if s != G.zero():
             tail.insert(0, Translate(G, s))
             S = S.translate(G.neg(s))
-        span = SubgroupGens(G, (a, b))
-        A, emb = subgroup_abstract(span)
-        if A.order < G.order:
+        order, _ = span_basis(G, (a, b))
+        if order < G.order:
+            A, emb = subgroup_abstract(SubgroupGens(G, (a, b)))
             if any(k != A.zero() for k in kernel_of_hom(emb).gens):
                 raise CompileError("internal: subgroup presentation is not injective")
-            SA = SubsetS(A, frozenset(x for x in A.elements() if emb.apply(x) in S))
+            SA = SubsetS(A, _pullback(emb, S.elements))
             a = hom_preimage(emb, a)
             b = hom_preimage(emb, b)
             assert a is not None and b is not None
@@ -432,13 +446,13 @@ def compile_hardness_Pi(G: FiniteAbelianGroup, S: SubsetS,
     T = cls.core
     trace.append(_rec("core-fixed", core=T.elements))
     A, emb = subgroup_abstract(SubgroupGens(G, T.sorted_elements()))
-    elemsA = tuple(A.elements())
-    TA = SubsetS(A, frozenset(x for x in elemsA if emb.apply(x) in T.elements))
     # S meets <T> only in T: with E the idempotents e mod the exponent with
     # eS inside S (closed under products) and e* their product, T = e*S;
     # <T> lies in e*G, which e* fixes pointwise, so x in S and <T> gives
     # x = e*x in e*S = T.  The check stays as the trace's set-eq fact.
-    pulled = frozenset(x for x in elemsA if emb.apply(x) in S.elements)
+    # T lies inside S, so its pull-back is read off S's.
+    pulled = _pullback(emb, S.elements)
+    TA = SubsetS(A, frozenset(x for x in pulled if emb.apply(x) in T.elements))
     if pulled != TA.elements:
         raise CompileError("internal: S meets the span of its dilation core outside the core")
     trace.append(_rec("set-eq", core=len(TA), span=A.moduli))

@@ -24,6 +24,7 @@ from cosetint.hardness import (
     ReductionPipeline,
     TransformDouble,
     Translate,
+    _check_coset_inside,
     _two_gen_step,
     _two_gen_worklist,
     apply_pipeline,
@@ -131,6 +132,44 @@ class TestWorklistInternals:
         with pytest.raises(CompileError):
             _two_gen_worklist(Z4, S, (1,), (2,), [])
 
+    @staticmethod
+    def _counting(monkeypatch):
+        # membership tests and group additions, not seconds: enumerating
+        # the step's subgroup would take 2^20 additions
+        counts = {"in": 0, "add": 0}
+        contains, add = SubsetS.__contains__, FiniteAbelianGroup.add
+
+        def counting_contains(self, element):
+            counts["in"] += 1
+            return contains(self, element)
+
+        def counting_add(self, x, y):
+            counts["add"] += 1
+            return add(self, x, y)
+
+        monkeypatch.setattr(SubsetS, "__contains__", counting_contains)
+        monkeypatch.setattr(FiniteAbelianGroup, "add", counting_add)
+        return counts
+
+    def test_coset_check_stops_where_the_walk_escapes(self, monkeypatch):
+        G = FiniteAbelianGroup((1 << 20,))
+        T = SubsetS.of(G, [(5 + 3 * i,) for i in range(10)] + [(7,), (1000,)])
+        counts = self._counting(monkeypatch)
+        with pytest.raises(CompileError, match=r"internal: probe: \(5,\) \+ <\(3,\)> escapes the set"):
+            _check_coset_inside(G, T, (5,), (3,), [], "probe")
+        assert counts["in"] == 11 <= len(T) + 1
+        assert counts["add"] <= len(T) + 1
+
+    def test_coset_check_closes_a_short_orbit(self, monkeypatch):
+        G = FiniteAbelianGroup((1 << 20,))
+        q = 1 << 18
+        T = SubsetS.of(G, [(1 + k * q,) for k in range(4)] + [(2,)])
+        counts = self._counting(monkeypatch)
+        trace = []
+        _check_coset_inside(G, T, (1,), (q,), trace, "probe")
+        assert counts == {"in": 4, "add": 4}
+        assert [r.kind for r in trace] == ["subset"]
+
 
 class TestCompileGate:
     def test_rejects_cosets(self):
@@ -233,6 +272,21 @@ class TestTraceAndDeterminism:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.REPLAY_PIPELINE_SHA256[k], (variant, moduli, elems)
 
+    # SHA-256 over the concatenated texts of every NP-complete target of
+    # order <= 6, both variants, in np_complete_targets order: the targets
+    # the compile-sweep benchmark compiles
+    SMALL_TARGETS_SHA256 = "7761991fa445b66918f56cb79e0e194e700428b5d2808e43bb30d0f327ef79be"
+
+    def test_small_target_texts_are_pinned(self):
+        texts = [
+            format_pipeline(compile_hardness(G, S, variant, selfcheck=False))
+            for G in small_groups(6)
+            for variant, S in np_complete_targets(G)
+        ]
+        assert len(texts) == 272
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == self.SMALL_TARGETS_SHA256
+
     def test_tampered_trace_detected(self):
         pipe = compiled("P", Z4, [(0,), (1,), (2,)])
         bad = ReductionPipeline(pipe.group, pipe.subset, pipe.variant,
@@ -270,6 +324,50 @@ class TestNormalization:
         assert normalize_steps((DivideOutLift(SubgroupGens(Z4, ())),)) == ()
         keep = DivideOutLift(SubgroupGens(Z4, ((2,),)))
         assert normalize_steps((keep,)) == (keep,)
+
+
+E2 = FiniteAbelianGroup((1024, 1024))
+Z2_20 = FiniteAbelianGroup((1 << 20,))
+SCATTERED = [(129, 248), (241, 509), (275, 182), (522, 390), (1014, 666)]
+
+
+class TestCompileAtMaxOrder:
+    """Compiling without the self-check lists no group above order 4096,
+    so targets at the parse bound compile in milliseconds.  Each text's
+    SHA-256 pins the pipeline and trace."""
+
+    CASES = [
+        ("Pi", E2, SCATTERED,
+         "943e43f8c63eb94a5f2a357533af0b3c26ea7f27d4c8bf0739bc6ba2a9ad3297"),
+        ("P", E2, SCATTERED,
+         "efd64614ebc56995c8a6f7b3394cc543111e8e634d5e213f9db350c8ec9078fb"),
+        # periodic under 2^19: the divide branch
+        ("P", Z2_20, [(0,), (1,), (1 << 19,), ((1 << 19) + 1,)],
+         "f4ffdfbb4c161cfeb1311d9f36a26c800849978a717fcf1bb0a9c387b2374c76"),
+        ("Pi", Z2_20, [(3,), (5,), (10,), (700001,)],
+         "b0cd269edcab97fddc58503df0bfd1fa14c1b84110250de09b281430a820607c"),
+        ("P", Z2_20, [(132344,), (281782,), (534918,)],
+         "a63e84fb95823dbb3110da7794bde1ff59daaf283571003e5d436f8a3bb423a8"),
+        # a proper span, then the even pattern
+        ("P", E2, [(0, 0), (512, 0), (0, 512)],
+         "f4135e4ded56ccb7f30f4fd4766a07a78f534d6d7071ba93d1288b7414600913"),
+    ]
+
+    @pytest.mark.parametrize("variant,G,elems,sha", CASES, ids=[
+        "Pi-1024x1024-scattered", "P-1024x1024-scattered", "P-2^20-divide",
+        "Pi-2^20", "P-2^20-three", "P-1024x1024-even-pattern",
+    ])
+    def test_compiles_without_listing_the_group(self, monkeypatch, variant, G, elems, sha):
+        elements = FiniteAbelianGroup.elements
+
+        def guarded(self):
+            if self.order > 4096:
+                raise AssertionError(f"compile listed a group of order {self.order}")
+            return elements(self)
+
+        monkeypatch.setattr(FiniteAbelianGroup, "elements", guarded)
+        text = format_pipeline(compiled(variant, G, elems))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
 SWEEP_BUDGET = 2 * 10 ** 5
